@@ -56,6 +56,7 @@ BENCHES=(
   bench_executable_scaling
   bench_recovery
   bench_obs_overhead
+  bench_serving
 )
 
 for name in "${BENCHES[@]}"; do

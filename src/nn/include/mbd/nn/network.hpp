@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mbd/nn/layers.hpp"
@@ -26,9 +27,8 @@ class Network {
   /// gradient is overwritten. Returns the gradient at the input.
   tensor::Matrix backward(const tensor::Matrix& dy);
 
-  /// SGD update on every parameter: with momentum m > 0 keeps per-layer
-  /// velocity buffers (v ← m·v + g, w ← w − lr·v); plain w ← w − lr·g
-  /// otherwise.
+  /// sgd_update on every layer's parameters, with per-layer velocity
+  /// buffers.
   void sgd_step(float lr, float momentum = 0.0f);
 
   /// Propagate (iteration, global sample offset) to layers that need it.
@@ -45,18 +45,18 @@ class Network {
   std::vector<float> save_params() const;
   void load_params(std::span<const float> flat);
 
-  /// Full optimizer-visible state: parameters followed by the momentum
-  /// velocities (zeros when no momentum step has run yet). load_state
-  /// materializes the velocity buffers, so a restored network resumes the
-  /// exact SGD trajectory — the checkpoint/restart substrate.
-  std::size_t state_size() const { return 2 * num_params(); }
-  std::vector<float> save_state() const;
-  void load_state(std::span<const float> flat);
-
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::vector<std::vector<float>> velocity_;  // lazily sized, momentum only
+  std::vector<std::vector<float>> velocity_;  // sized by the first sgd_step
 };
+
+/// One (momentum-)SGD step on a parameter shard, the single momentum rule
+/// every trainer applies: with momentum m ≠ 0, v ← m·v + g and
+/// w ← w − lr·v; plain w ← w − lr·g otherwise (v untouched). Velocity is
+/// purely local state, so a partitioned shard updates exactly like the
+/// same rows of the sequential reference.
+void sgd_update(std::span<float> w, std::span<const float> g,
+                std::span<float> v, float lr, float momentum);
 
 /// Options for build_network.
 struct BuildOptions {

@@ -24,25 +24,26 @@ tensor::Matrix Network::backward(const tensor::Matrix& dy) {
   return cur;
 }
 
-void Network::sgd_step(float lr, float momentum) {
-  if (momentum != 0.0f && velocity_.empty()) {
-    velocity_.resize(layers_.size());
-    for (std::size_t li = 0; li < layers_.size(); ++li)
-      velocity_[li].assign(layers_[li]->weights().size(), 0.0f);
+void sgd_update(std::span<float> w, std::span<const float> g,
+                std::span<float> v, float lr, float momentum) {
+  MBD_CHECK_EQ(w.size(), g.size());
+  if (momentum == 0.0f) {
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr * g[i];
+    return;
   }
+  MBD_CHECK_EQ(w.size(), v.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    v[i] = momentum * v[i] + g[i];
+    w[i] -= lr * v[i];
+  }
+}
+
+void Network::sgd_step(float lr, float momentum) {
+  velocity_.resize(layers_.size());
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    auto w = layers_[li]->weights();
-    auto g = layers_[li]->grads();
-    MBD_CHECK_EQ(w.size(), g.size());
-    if (momentum == 0.0f) {
-      for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr * g[i];
-    } else {
-      auto& v = velocity_[li];
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        v[i] = momentum * v[i] + g[i];
-        w[i] -= lr * v[i];
-      }
-    }
+    const auto w = layers_[li]->weights();
+    velocity_[li].resize(w.size());  // zeros until the first step
+    sgd_update(w, layers_[li]->grads(), velocity_[li], lr, momentum);
   }
 }
 
@@ -76,36 +77,6 @@ void Network::load_params(std::span<const float> flat) {
     std::copy_n(flat.begin() + static_cast<std::ptrdiff_t>(at), w.size(),
                 w.begin());
     at += w.size();
-  }
-  MBD_CHECK_EQ(at, flat.size());
-}
-
-std::vector<float> Network::save_state() const {
-  std::vector<float> flat = save_params();
-  flat.reserve(state_size());
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const std::size_t n = const_cast<Layer&>(*layers_[li]).weights().size();
-    if (li < velocity_.size() && !velocity_[li].empty()) {
-      MBD_CHECK_EQ(velocity_[li].size(), n);
-      flat.insert(flat.end(), velocity_[li].begin(), velocity_[li].end());
-    } else {
-      flat.insert(flat.end(), n, 0.0f);
-    }
-  }
-  return flat;
-}
-
-void Network::load_state(std::span<const float> flat) {
-  MBD_CHECK_EQ(flat.size(), state_size());
-  const std::size_t np = num_params();
-  load_params(flat.first(np));
-  velocity_.resize(layers_.size());
-  std::size_t at = np;
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const std::size_t n = layers_[li]->weights().size();
-    velocity_[li].assign(flat.begin() + static_cast<std::ptrdiff_t>(at),
-                         flat.begin() + static_cast<std::ptrdiff_t>(at + n));
-    at += n;
   }
   MBD_CHECK_EQ(at, flat.size());
 }

@@ -66,13 +66,6 @@ BatchSlice batch_slice(const nn::Dataset& data, std::size_t start,
 /// validation tests count exactly.
 double sum_scalar(comm::Comm& comm, double value);
 
-/// One (momentum-)SGD update on a parameter shard: with momentum m > 0,
-/// v ← m·v + g and w ← w − lr·v; plain SGD otherwise. Velocity is purely
-/// local state, so partitioned shards update exactly like the sequential
-/// reference.
-void sgd_update(std::span<float> w, std::span<const float> g,
-                std::span<float> v, float lr, float momentum);
-
 /// He-initialised d_out × d_in weight matrix, drawn with the exact stream
 /// nn::build_network uses (scale √(2/d_in)). Every trainer draws its weights
 /// through these two helpers so all trainers provably start from the weights

@@ -27,7 +27,6 @@ struct DomainConvState {
   /// blocking path is used for that layer.
   bool overlap_halo = false;
   tensor::Matrix w, dw;       ///< full weights, replicated on every process
-  tensor::Matrix vel;         ///< momentum velocity (local state)
   tensor::Tensor4 ext_input;  ///< extended input slab cached for backward
   tensor::Tensor4 y_pre;      ///< pre-activation output slab
 };

@@ -156,8 +156,12 @@ struct Flow {
   }
 };
 
-/// One stop of the per-iteration schedule: owns its parameter shard and
-/// momentum state, knows its own communication pattern.
+/// One stop of the per-iteration schedule: knows its own communication
+/// pattern and registers its parameter shards, (W, ∆W) span pairs, once at
+/// construction. The base owns the optimizer side of those registered
+/// parameters once for every stage: one zeroed momentum velocity each, the
+/// SGD update (nn::sgd_update), the checkpoint state and the parameter
+/// assembly. Stages without parameters register none and inherit no-ops.
 class EngineStage {
  public:
   virtual ~EngineStage() = default;
@@ -181,17 +185,34 @@ class EngineStage {
   /// Flow if the stage below needs none).
   virtual Flow backward(Flow grad, const StepContext& ctx,
                         GradReducer& red) = 0;
-  virtual void update(float lr, float momentum) = 0;
-  /// Append this stage's parameters in the full (unpartitioned) layout.
-  virtual void collect_params(std::vector<float>& out) = 0;
+  /// One momentum-SGD step on every registered parameter.
+  virtual void update(float lr, float momentum);
+  /// Append this stage's parameters in the full (unpartitioned) layout: the
+  /// registered weights in registration order.
+  virtual void collect_params(std::vector<float>& out);
 
-  /// Append this rank's persistent training state (weight shard + momentum
-  /// velocities; forward scratch is per-iteration and excluded). Stateless
-  /// stages append nothing.
-  virtual void save_state(std::vector<float>& /*out*/) {}
+  /// Append this rank's persistent training state: per registered
+  /// parameter, its weights then its velocity, in registration order
+  /// (forward scratch is per-iteration and excluded).
+  virtual void save_state(std::vector<float>& out);
   /// Restore state written by save_state, consuming this stage's prefix of
-  /// `in` (the span is advanced past what was read).
-  virtual void restore_state(std::span<const float>& /*in*/) {}
+  /// `in` (the span is advanced past what was read). Throws mbd::Error when
+  /// `in` is too short.
+  virtual void restore_state(std::span<const float>& in);
+
+ protected:
+  /// Register a parameter shard and its gradient buffer (same size). Both
+  /// spans must stay valid, never reallocated, for the stage's lifetime.
+  void add_param(std::span<float> w, std::span<float> dw);
+  /// Sum every registered ∆W over `group`, in registration order.
+  void reduce_grads(GradReducer& red, comm::Comm& group);
+
+ private:
+  struct Param {
+    std::span<float> w, dw;
+    std::vector<float> vel;
+  };
+  std::vector<Param> params_;
 };
 
 /// Row-partitioned (or replicated) fully connected layer with optional ReLU:
@@ -218,14 +239,12 @@ class FcStage final : public EngineStage {
   void begin_iteration(const StepContext& ctx) override;
   Flow forward(Flow in, const StepContext& ctx) override;
   Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float lr, float momentum) override;
+  /// All-gathers the row blocks of a partitioned W.
   void collect_params(std::vector<float>& out) override;
-  void save_state(std::vector<float>& out) override;
-  void restore_state(std::span<const float>& in) override;
 
  private:
   Config cfg_;
-  tensor::Matrix w_, dw_, vel_;  // rows.size() × d_in
+  tensor::Matrix w_, dw_;  // rows.size() × d_in
   /// Forward state, stashed per microbatch (size 1 for whole-minibatch
   /// programs): the Bwd tick of microbatch m reads exactly its own stash.
   std::vector<tensor::Matrix> x_, y_pre_;
@@ -247,10 +266,6 @@ class NetworkStage final : public EngineStage {
   void begin_iteration(const StepContext& ctx) override;
   Flow forward(Flow in, const StepContext& ctx) override;
   Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float lr, float momentum) override;
-  void collect_params(std::vector<float>& out) override;
-  void save_state(std::vector<float>& out) override;
-  void restore_state(std::span<const float>& in) override;
 
  private:
   nn::Network net_;
@@ -270,16 +285,11 @@ class ConvStackStage final : public EngineStage {
   const char* name() const override { return "conv_stack"; }
   Flow forward(Flow in, const StepContext& ctx) override;
   Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float lr, float momentum) override;
-  void collect_params(std::vector<float>& out) override;
-  void save_state(std::vector<float>& out) override;
-  void restore_state(std::span<const float>& in) override;
 
  private:
   std::vector<std::unique_ptr<nn::Layer>> layers_;
   std::size_t d_out_;
   comm::Comm* reduce_group_;
-  std::vector<std::vector<float>> vel_;
   double macs_per_sample_;
 };
 
@@ -294,10 +304,6 @@ class DomainConvStage final : public EngineStage {
   const char* name() const override { return "domain_conv"; }
   Flow forward(Flow in, const StepContext& ctx) override;
   Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float lr, float momentum) override;
-  void collect_params(std::vector<float>& out) override;
-  void save_state(std::vector<float>& out) override;
-  void restore_state(std::span<const float>& in) override;
 
  private:
   detail::DomainConvState st_;
@@ -317,8 +323,6 @@ class SlabScatterStage final : public EngineStage {
   const char* name() const override { return "slab_scatter"; }
   Flow forward(Flow in, const StepContext& ctx) override;
   Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float /*lr*/, float /*momentum*/) override {}
-  void collect_params(std::vector<float>& /*out*/) override {}
 
  private:
   std::size_t in_c_, in_h_, in_w_;
@@ -336,8 +340,6 @@ class SlabGatherStage final : public EngineStage {
   const char* name() const override { return "slab_gather"; }
   Flow forward(Flow in, const StepContext& ctx) override;
   Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float /*lr*/, float /*momentum*/) override {}
-  void collect_params(std::vector<float>& /*out*/) override {}
 
  private:
   comm::Comm* group_;
@@ -361,8 +363,6 @@ class RedistributeStage final : public EngineStage {
   const char* name() const override { return "redistribute"; }
   Flow forward(Flow in, const StepContext& ctx) override;
   Flow backward(Flow grad, const StepContext& ctx, GradReducer& red) override;
-  void update(float /*lr*/, float /*momentum*/) override {}
-  void collect_params(std::vector<float>& /*out*/) override {}
 
  private:
   comm::Comm* model_group_;

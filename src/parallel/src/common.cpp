@@ -27,20 +27,6 @@ BatchSlice batch_slice(const nn::Dataset& data, std::size_t start,
   return s;
 }
 
-void sgd_update(std::span<float> w, std::span<const float> g,
-                std::span<float> v, float lr, float momentum) {
-  MBD_CHECK_EQ(w.size(), g.size());
-  if (momentum == 0.0f) {
-    for (std::size_t i = 0; i < w.size(); ++i) w[i] -= lr * g[i];
-    return;
-  }
-  MBD_CHECK_EQ(w.size(), v.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    v[i] = momentum * v[i] + g[i];
-    w[i] -= lr * v[i];
-  }
-}
-
 tensor::Matrix he_init_full(std::size_t d_out, std::size_t d_in, Rng& rng) {
   return tensor::Matrix::random_normal(
       d_out, d_in, rng, std::sqrt(2.0f / static_cast<float>(d_in)));

@@ -42,7 +42,6 @@ EngineLayout build_domain_parallel_layout(
       l.overlap_halo = opts.overlap_halo;
       l.w = he_init_full(g.out_c, g.in_c * g.kernel_h * g.kernel_w, rng);
       l.dw = Matrix(l.w.rows(), l.w.cols());
-      l.vel = Matrix(l.w.rows(), l.w.cols());
       convs.push_back(std::move(l));
       conv_macs.push_back(static_cast<double>(s.macs_per_sample()));
     } else if (s.kind == nn::LayerKind::FullyConnected) {

@@ -54,7 +54,6 @@ EngineLayout build_hybrid_layout(comm::Comm& comm, const TrainerOptions& opts,
       l.overlap_halo = opts.overlap_halo;
       l.w = he_init_full(g.out_c, g.in_c * g.kernel_h * g.kernel_w, rng);
       l.dw = Matrix(l.w.rows(), l.w.cols());
-      l.vel = Matrix(l.w.rows(), l.w.cols());
       convs.push_back(std::move(l));
       conv_macs.push_back(static_cast<double>(s.macs_per_sample()));
     } else if (s.kind == nn::LayerKind::FullyConnected) {

@@ -13,12 +13,8 @@ using tensor::Tensor4;
 
 namespace {
 
-// Flat-state (de)serialization helpers for EngineStage::save_state /
-// restore_state: append a span, or consume a prefix of the input span.
-void append_state(std::vector<float>& out, std::span<const float> s) {
-  out.insert(out.end(), s.begin(), s.end());
-}
-
+// Consume a prefix of the checkpoint span into `dst` (EngineStage::
+// restore_state); a span too short for it is an error, not an over-read.
 void take_state(std::span<const float>& in, std::span<float> dst) {
   MBD_CHECK_LE(dst.size(), in.size());
   std::copy_n(in.begin(), dst.size(), dst.begin());
@@ -50,6 +46,41 @@ void GradReducer::drain() {
 }
 
 // ---------------------------------------------------------------------------
+// EngineStage: the parameter store
+// ---------------------------------------------------------------------------
+
+void EngineStage::add_param(std::span<float> w, std::span<float> dw) {
+  MBD_CHECK_EQ(w.size(), dw.size());
+  params_.push_back({w, dw, std::vector<float>(w.size(), 0.0f)});
+}
+
+void EngineStage::reduce_grads(GradReducer& red, comm::Comm& group) {
+  for (const Param& p : params_) red.allreduce(group, p.dw);
+}
+
+void EngineStage::update(float lr, float momentum) {
+  for (Param& p : params_) nn::sgd_update(p.w, p.dw, p.vel, lr, momentum);
+}
+
+void EngineStage::collect_params(std::vector<float>& out) {
+  for (const Param& p : params_) out.insert(out.end(), p.w.begin(), p.w.end());
+}
+
+void EngineStage::save_state(std::vector<float>& out) {
+  for (const Param& p : params_) {
+    out.insert(out.end(), p.w.begin(), p.w.end());
+    out.insert(out.end(), p.vel.begin(), p.vel.end());
+  }
+}
+
+void EngineStage::restore_state(std::span<const float>& in) {
+  for (Param& p : params_) {
+    take_state(in, p.w);
+    take_state(in, p.vel);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // FcStage
 // ---------------------------------------------------------------------------
 
@@ -57,7 +88,7 @@ FcStage::FcStage(const Config& cfg, Matrix w) : cfg_(cfg), w_(std::move(w)) {
   MBD_CHECK_EQ(w_.rows(), cfg_.rows.size());
   MBD_CHECK_EQ(w_.cols(), cfg_.d_in);
   dw_ = Matrix(w_.rows(), w_.cols());
-  vel_ = Matrix(w_.rows(), w_.cols());
+  add_param(w_.span(), dw_.span());
   x_.resize(1);
   y_pre_.resize(1);
 }
@@ -170,23 +201,9 @@ Flow FcStage::backward(Flow grad, const StepContext& ctx, GradReducer& red) {
   return Flow::from_matrix(std::move(dxl));
 }
 
-void FcStage::update(float lr, float momentum) {
-  sgd_update(w_.span(), dw_.span(), vel_.span(), lr, momentum);
-}
-
-void FcStage::save_state(std::vector<float>& out) {
-  append_state(out, w_.span());
-  append_state(out, vel_.span());
-}
-
-void FcStage::restore_state(std::span<const float>& in) {
-  take_state(in, w_.span());
-  take_state(in, vel_.span());
-}
-
 void FcStage::collect_params(std::vector<float>& out) {
   if (!cfg_.model_group) {
-    out.insert(out.end(), w_.span().begin(), w_.span().end());
+    EngineStage::collect_params(out);
     return;
   }
   const auto pr = static_cast<std::size_t>(cfg_.model_group->size());
@@ -204,7 +221,12 @@ NetworkStage::NetworkStage(nn::Network net, comm::Comm* reduce_group,
                            double macs_per_sample)
     : net_(std::move(net)),
       reduce_group_(reduce_group),
-      macs_per_sample_(macs_per_sample) {}
+      macs_per_sample_(macs_per_sample) {
+  for (std::size_t li = 0; li < net_.num_layers(); ++li) {
+    nn::Layer& l = net_.layer(li);
+    if (!l.weights().empty()) add_param(l.weights(), l.grads());
+  }
+}
 
 void NetworkStage::begin_iteration(const StepContext& ctx) {
   net_.set_batch_context(ctx.iteration, ctx.first_sample);
@@ -224,31 +246,8 @@ Flow NetworkStage::backward(Flow grad, const StepContext& ctx,
   Matrix din = net_.backward(grad.as_matrix());
   ctx.annotate(4.0 * macs_per_sample_ * b);
   // The defining communication step: ring all-reduce of every ∆W.
-  for (std::size_t li = 0; li < net_.num_layers(); ++li) {
-    const auto g = net_.layer(li).grads();
-    if (!g.empty()) red.allreduce(*reduce_group_, g);
-  }
+  reduce_grads(red, *reduce_group_);
   return Flow::from_matrix(std::move(din));
-}
-
-void NetworkStage::update(float lr, float momentum) {
-  net_.sgd_step(lr, momentum);
-}
-
-void NetworkStage::collect_params(std::vector<float>& out) {
-  const auto p = net_.save_params();
-  out.insert(out.end(), p.begin(), p.end());
-}
-
-void NetworkStage::save_state(std::vector<float>& out) {
-  const auto s = net_.save_state();
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void NetworkStage::restore_state(std::span<const float>& in) {
-  const std::size_t n = net_.state_size();
-  net_.load_state(in.first(n));
-  in = in.subspan(n);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,9 +261,8 @@ ConvStackStage::ConvStackStage(std::vector<std::unique_ptr<nn::Layer>> layers,
       d_out_(d_out),
       reduce_group_(reduce_group),
       macs_per_sample_(macs_per_sample) {
-  vel_.resize(layers_.size());
-  for (std::size_t li = 0; li < layers_.size(); ++li)
-    vel_[li].assign(layers_[li]->weights().size(), 0.0f);
+  for (auto& l : layers_)
+    if (!l->weights().empty()) add_param(l->weights(), l->grads());
 }
 
 Flow ConvStackStage::forward(Flow in, const StepContext& ctx) {
@@ -283,38 +281,8 @@ Flow ConvStackStage::backward(Flow grad, const StepContext& ctx,
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
     dx = (*it)->backward(dx);
   ctx.annotate(4.0 * macs_per_sample_ * b);
-  for (auto& l : layers_) {
-    const auto g = l->grads();
-    if (!g.empty()) red.allreduce(*reduce_group_, g);
-  }
+  reduce_grads(red, *reduce_group_);
   return Flow::from_matrix(std::move(dx));
-}
-
-void ConvStackStage::update(float lr, float momentum) {
-  for (std::size_t li = 0; li < layers_.size(); ++li)
-    sgd_update(layers_[li]->weights(), layers_[li]->grads(), vel_[li], lr,
-               momentum);
-}
-
-void ConvStackStage::collect_params(std::vector<float>& out) {
-  for (auto& l : layers_) {
-    const auto w = l->weights();
-    out.insert(out.end(), w.begin(), w.end());
-  }
-}
-
-void ConvStackStage::save_state(std::vector<float>& out) {
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    append_state(out, layers_[li]->weights());
-    append_state(out, vel_[li]);
-  }
-}
-
-void ConvStackStage::restore_state(std::span<const float>& in) {
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    take_state(in, layers_[li]->weights());
-    take_state(in, vel_[li]);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -328,7 +296,9 @@ DomainConvStage::DomainConvStage(detail::DomainConvState state,
     : st_(std::move(state)),
       conv_group_(conv_group),
       reduce_group_(reduce_group),
-      macs_per_sample_(macs_per_sample) {}
+      macs_per_sample_(macs_per_sample) {
+  add_param(st_.w.span(), st_.dw.span());
+}
 
 Flow DomainConvStage::forward(Flow in, const StepContext& ctx) {
   const auto b = static_cast<double>(in.as_tensor().n());
@@ -345,26 +315,8 @@ Flow DomainConvStage::backward(Flow grad, const StepContext& ctx,
   ctx.annotate(4.0 * macs_per_sample_ * b);
   // ∆W all-reduce over every process that shares the (replicated) weights,
   // interleaved per layer exactly like the halo exchanges.
-  red.allreduce(*reduce_group_, st_.dw.span());
+  reduce_grads(red, *reduce_group_);
   return Flow::from_tensor(std::move(dslab));
-}
-
-void DomainConvStage::update(float lr, float momentum) {
-  sgd_update(st_.w.span(), st_.dw.span(), st_.vel.span(), lr, momentum);
-}
-
-void DomainConvStage::collect_params(std::vector<float>& out) {
-  out.insert(out.end(), st_.w.span().begin(), st_.w.span().end());
-}
-
-void DomainConvStage::save_state(std::vector<float>& out) {
-  append_state(out, st_.w.span());
-  append_state(out, st_.vel.span());
-}
-
-void DomainConvStage::restore_state(std::span<const float>& in) {
-  take_state(in, st_.w.span());
-  take_state(in, st_.vel.span());
 }
 
 // ---------------------------------------------------------------------------

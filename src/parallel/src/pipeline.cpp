@@ -47,9 +47,6 @@ class PipeRecvStage final : public EngineStage {
     return {};
   }
 
-  void update(float /*lr*/, float /*momentum*/) override {}
-  void collect_params(std::vector<float>& /*out*/) override {}
-
  private:
   comm::Comm* comm_;
   int peer_;
@@ -82,9 +79,6 @@ class PipeSendStage final : public EngineStage {
     const std::size_t cols = g.size() / dim_;
     return Flow::from_matrix(Matrix::from_data(dim_, cols, std::move(g)));
   }
-
-  void update(float /*lr*/, float /*momentum*/) override {}
-  void collect_params(std::vector<float>& /*out*/) override {}
 
  private:
   comm::Comm* comm_;

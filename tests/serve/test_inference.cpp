@@ -3,9 +3,10 @@
 // bitwise-identical across repeated runs and across batch compositions
 // (a batch of 8 equals eight batches of 1), (c) match the sequential
 // reference network's forward pass within float reduction noise, (d) serve
-// trained weights published through CheckpointPolicy::final_commit, and
+// trained weights published through CheckpointPolicy::final_commit,
 // (e) produce bitwise-identical logits over the TCP transport and the
-// in-process fabric.
+// in-process fabric, and (f) refuse a published checkpoint slot one float
+// too short or too long with mbd::Error instead of over-reading it.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,6 +23,7 @@
 #include "mbd/parallel/engine_layout.hpp"
 #include "mbd/parallel/recovery.hpp"
 #include "mbd/serve/inference.hpp"
+#include "mbd/support/check.hpp"
 
 namespace mbd::serve {
 namespace {
@@ -153,6 +155,32 @@ TEST(InferenceSession, MatchesSequentialForwardAtInitWeights) {
   }
 }
 
+/// Train `entry` briefly with CheckpointPolicy::final_commit into `store`;
+/// returns rank 0's result.
+parallel::DistResult train_and_publish(const parallel::TrainerEntry& entry,
+                                       const Workload& wl,
+                                       parallel::CheckpointStore& store) {
+  nn::TrainConfig cfg;
+  cfg.batch = kBuildBatch;
+  cfg.iterations = 2;
+  parallel::RecoveryContext rc{&store, {.every = 0, .final_commit = true}};
+  parallel::TrainerOptions opts = default_opts();
+  opts.recovery = &rc;
+
+  parallel::DistResult result;
+  std::mutex mu;
+  comm::World world(kRanks);
+  world.run([&](comm::Comm& c) {
+    parallel::DistResult r = entry.run(c, opts, wl.specs, wl.data, cfg);
+    if (c.rank() == 0) {
+      const std::lock_guard lock(mu);
+      result = std::move(r);
+    }
+  });
+  EXPECT_EQ(store.step(), cfg.iterations);
+  return result;
+}
+
 TEST(InferenceSession, ServesWeightsTrainedThroughFinalCommit) {
   // Train briefly with CheckpointPolicy::final_commit, load the published
   // checkpoint into a fresh session, and check the served logits against a
@@ -160,27 +188,9 @@ TEST(InferenceSession, ServesWeightsTrainedThroughFinalCommit) {
   for (const parallel::TrainerEntry& e : parallel::trainer_registry()) {
     SCOPED_TRACE(std::string(e.name));
     const Workload wl = workload_for(e.workload);
-    nn::TrainConfig cfg;
-    cfg.batch = kBuildBatch;
-    cfg.iterations = 2;
-
     parallel::CheckpointStore store(kRanks);
-    parallel::RecoveryContext rc{&store, {.every = 0, .final_commit = true}};
-    parallel::TrainerOptions opts = default_opts();
-    opts.recovery = &rc;
-
-    parallel::DistResult result;
-    std::mutex mu;
-    comm::World world(kRanks);
-    world.run([&](comm::Comm& c) {
-      parallel::DistResult r = e.run(c, opts, wl.specs, wl.data, cfg);
-      if (c.rank() == 0) {
-        const std::lock_guard lock(mu);
-        result = std::move(r);
-      }
-    });
+    const parallel::DistResult result = train_and_publish(e, wl, store);
     ASSERT_TRUE(store.valid()) << "final_commit did not publish";
-    EXPECT_EQ(store.step(), cfg.iterations);
 
     const tensor::Matrix input = wl.data.inputs.col_block(0, kBuildBatch);
     const auto got = forward_in_process(e, wl, input, &store);
@@ -189,6 +199,49 @@ TEST(InferenceSession, ServesWeightsTrainedThroughFinalCommit) {
     ref.load_params(result.params);
     const tensor::Matrix expect = ref.forward(input);
     expect_close(got, {expect.span().begin(), expect.span().end()});
+  }
+}
+
+TEST(InferenceSession, LoadRefusesMisSizedCheckpointSlots) {
+  // Every rank's published slot, one float short and one float long: load()
+  // must throw mbd::Error on every rank, for every layout.
+  for (const parallel::TrainerEntry& e : parallel::trainer_registry()) {
+    SCOPED_TRACE(std::string(e.name));
+    const Workload wl = workload_for(e.workload);
+    parallel::CheckpointStore store(kRanks);
+    train_and_publish(e, wl, store);
+    ASSERT_TRUE(store.valid()) << "final_commit did not publish";
+
+    for (const bool longer : {false, true}) {
+      SCOPED_TRACE(longer ? "one float long" : "one float short");
+      parallel::CheckpointStore bad(kRanks);
+      for (int r = 0; r < kRanks; ++r) {
+        std::vector<float> state = store.state(r);
+        ASSERT_FALSE(state.empty()) << "rank " << r << " has no state";
+        if (longer) {
+          state.push_back(0.0f);
+        } else {
+          state.pop_back();
+        }
+        bad.stage_rank(r, std::move(state), store.losses(r));
+      }
+      bad.commit(store.step());
+
+      std::vector<int> refused(kRanks, 0);
+      comm::World world(kRanks);
+      world.run([&](comm::Comm& c) {
+        InferenceSession session(
+            c, e.layout(c, default_opts(), wl.specs, kBuildBatch));
+        try {
+          session.load(bad);
+        } catch (const mbd::Error&) {
+          refused[static_cast<std::size_t>(c.rank())] = 1;
+        }
+      });
+      for (int r = 0; r < kRanks; ++r)
+        EXPECT_TRUE(refused[static_cast<std::size_t>(r)])
+            << "rank " << r << " accepted a mis-sized slot";
+    }
   }
 }
 
