@@ -9,6 +9,7 @@
 #include "mbd/obs/metrics.hpp"
 #include "mbd/support/units.hpp"
 #include "mbd/tensor/gemm.hpp"
+#include "mbd/tensor/gemm_config.hpp"
 
 namespace mbd::bench {
 
@@ -96,6 +97,9 @@ void open_json_sink(int& argc, char** argv, const std::string& bench_name) {
     // Shape inventory for the record stream (one counter per distinct GEMM
     // shape the process issues), replacing the old stderr-only logger.
     tensor::set_gemm_shape_metrics(true);
+    // Select the GEMM kernel now, so its tensor.gemm_kernel.<name> counter
+    // reaches the file even from a bench that runs no GEMM.
+    (void)tensor::gemm_config();
     // Strip the two arguments so later flag parsers never see them.
     for (int j = i; j + 2 <= argc; ++j) argv[j] = argv[j + 2];
     argc -= 2;

@@ -5,7 +5,8 @@
 // panels, each padded with zeros to a full microtile so the inner kernel
 // never branches on a tail. Packing is where the transpose variants get
 // absorbed — a strided read happens once per cache block here instead of
-// once per FMA in the inner loop.
+// once per FMA in the inner loop. Only gemm.cpp instantiates these, as
+// baseline code, for every ISA's tile.
 #pragma once
 
 #include <algorithm>

@@ -7,8 +7,11 @@
 // All three variants route through one packed driver: A/B are repacked into
 // microkernel-native panels (transposes absorbed by the pack), an mr×nr
 // register-tiled inner kernel does the FMAs, and OpenMP threads split the
-// row-block macro loop. Blocking parameters are runtime-queryable via
-// gemm_config() (mbd/tensor/gemm_config.hpp). Set MBD_GEMM_LOG_SHAPES to
+// row-block macro loop. The process picks the inner kernel once, the widest
+// of AVX-512, AVX2+FMA and SSE2 its CPU supports, and runs it for every
+// shape: the same host and binary give the same bits, and C(i, j) does not
+// depend on n or on the row split. gemm_config() (mbd/tensor/gemm_config.hpp)
+// reports the selected kernel and its blocking. Set MBD_GEMM_LOG_SHAPES to
 // log each distinct shape a process issues once to stderr.
 #pragma once
 

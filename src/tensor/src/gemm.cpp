@@ -4,21 +4,28 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 
 #include "mbd/obs/metrics.hpp"
 #include "mbd/obs/profiler.hpp"
 #include "mbd/support/check.hpp"
+#include "mbd/tensor/detail/gemm_kernels.hpp"
 #include "mbd/tensor/detail/gemm_packing.hpp"
 #include "mbd/tensor/gemm_config.hpp"
+#include "gemm_tiles.hpp"
 
 namespace mbd::tensor {
 namespace {
 
 using detail::AlignedBuffer;
+using detail::GemmArgs;
+using detail::GemmKernel;
+using detail::GemmOp;
 using detail::round_up;
 
 std::atomic<bool> g_shape_metrics{false};
@@ -55,113 +62,108 @@ void log_shape_once(const char* variant, std::size_t m, std::size_t n,
   }
 }
 
-void scale_c(float* c, std::size_t m, std::size_t n, float beta) {
+void scale_c(float* c, std::size_t ldc, std::size_t m, std::size_t n,
+             float beta) {
   if (beta == 1.0f) return;
-  if (beta == 0.0f) {
-    std::fill(c, c + m * n, 0.0f);
-  } else {
-    for (std::size_t i = 0; i < m * n; ++i) c[i] *= beta;
-  }
-}
-
-// mr×nr microkernel: rank-1 updates over the shared dimension, accumulators
-// held in `acc` (registers — both trip counts are compile-time constants and
-// the tile is sized so the accumulators fit the SIMD register file).
-void micro_kernel(std::size_t kb, const float* __restrict__ ap,
-                  const float* __restrict__ bp, float* __restrict__ acc) {
-  for (std::size_t p = 0; p < kb; ++p) {
-    const float* __restrict__ a = ap + p * kGemmMR;
-    const float* __restrict__ b = bp + p * kGemmNR;
-#pragma GCC unroll 8
-    for (std::size_t i = 0; i < kGemmMR; ++i) {
-#pragma omp simd
-      for (std::size_t j = 0; j < kGemmNR; ++j)
-        acc[i * kGemmNR + j] += a[i] * b[j];
-    }
-  }
-}
-
-// Merge a finished microtile into C (alpha is already folded into acc via
-// the A pack; beta is applied exactly once, on the first k-block).
-void merge_tile(const float* __restrict__ acc, float* __restrict__ c,
-                std::size_t ldc, std::size_t mr_eff, std::size_t nr_eff,
-                float beta) {
-  for (std::size_t i = 0; i < mr_eff; ++i) {
-    const float* arow = acc + i * kGemmNR;
-    float* crow = c + i * ldc;
+  for (std::size_t i = 0; i < m; ++i) {
+    float* row = c + i * ldc;
     if (beta == 0.0f) {
-#pragma omp simd
-      for (std::size_t j = 0; j < nr_eff; ++j) crow[j] = arow[j];
-    } else if (beta == 1.0f) {
-#pragma omp simd
-      for (std::size_t j = 0; j < nr_eff; ++j) crow[j] += arow[j];
+      std::fill(row, row + n, 0.0f);
     } else {
-#pragma omp simd
-      for (std::size_t j = 0; j < nr_eff; ++j)
-        crow[j] = beta * crow[j] + arow[j];
+      for (std::size_t j = 0; j < n; ++j) row[j] *= beta;
     }
   }
 }
 
-// Shared packed driver. op(A) is m×k, op(B) is k×n, C is m×n with row
-// stride ldc. `TransA` means A is stored k×m, `TransB` means B is stored
-// n×k; the packing routines absorb the transposes so all three public
-// variants run the same unit-stride microkernel.
-template <bool TransA, bool TransB>
-void gemm_packed(const float* a, std::size_t lda, const float* b,
-                 std::size_t ldb, float* c, std::size_t ldc, std::size_t m,
-                 std::size_t n, std::size_t k, float alpha, float beta) {
-  if (m == 0 || n == 0) return;
-  if (g_dry_run.load(std::memory_order_relaxed)) {
-    // Compute elision (static schedule analyzer): zero C without reading
-    // A/B. Downstream layers see exact shapes and exact message sizes —
-    // payloads flow zero-filled — while the FMA cost disappears.
-    scale_c(c, m, n, 0.0f);
-    return;
-  }
-  if (k == 0 || alpha == 0.0f) {
-    scale_c(c, m, n, beta);
-    return;
-  }
-  const GemmConfig& cfg = gemm_config();
+// Shared packed driver over one ISA's register tile (gemm_tiles.hpp). op(A)
+// is m×k, op(B) is k×n. `TransA` means A is stored k×m, `TransB` means B is
+// stored n×k; the packing routines absorb the transposes so all three
+// variants run the same unit-stride tile.
+template <class Tile, bool TransA, bool TransB>
+void gemm_packed(const GemmArgs& g) {
+  constexpr std::size_t MR = Tile::MR, NR = Tile::NR;
+  static_assert(Tile::MC % MR == 0 && Tile::NC % NR == 0);
   AlignedBuffer bbuf;
-  for (std::size_t jc = 0; jc < n; jc += cfg.nc) {
-    const std::size_t nb = std::min(cfg.nc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += cfg.kc) {
-      const std::size_t kb = std::min(cfg.kc, k - pc);
-      const float beta_eff = pc == 0 ? beta : 1.0f;
-      float* bp = bbuf.ensure(round_up(nb, kGemmNR) * kb);
+  for (std::size_t jc = 0; jc < g.n; jc += Tile::NC) {
+    const std::size_t nb = std::min(Tile::NC, g.n - jc);
+    for (std::size_t pc = 0; pc < g.k; pc += Tile::KC) {
+      const std::size_t kb = std::min(Tile::KC, g.k - pc);
+      const float beta_eff = pc == 0 ? g.beta : 1.0f;
+      float* bp = bbuf.ensure(round_up(nb, NR) * kb);
       {
         // Calling-thread site only: the per-thread pack_a inside the omp
         // region below is deliberately uninstrumented (worker registration
         // order is nondeterministic and the span cost is per macro-tile).
         obs::ScopedSpan pack_span(obs::SpanKind::Pack, "pack_b");
         pack_span.set_args(kb, nb);
-        detail::pack_b<kGemmNR, TransB>(b, ldb, pc, kb, jc, nb, bp);
+        detail::pack_b<NR, TransB>(g.b, g.ldb, pc, kb, jc, nb, bp);
       }
       // Threads split the macro-tile (row-block) loop; each packs its own A
       // block into a thread-local buffer and streams the shared B block.
 #pragma omp parallel for schedule(static)
-      for (std::size_t ic = 0; ic < m; ic += cfg.mc) {
-        const std::size_t mb = std::min(cfg.mc, m - ic);
+      for (std::size_t ic = 0; ic < g.m; ic += Tile::MC) {
+        const std::size_t mb = std::min(Tile::MC, g.m - ic);
         static thread_local AlignedBuffer abuf;
-        float* ap = abuf.ensure(round_up(mb, kGemmMR) * kb);
-        detail::pack_a<kGemmMR, TransA>(a, lda, ic, mb, pc, kb, alpha, ap);
-        for (std::size_t jr = 0; jr < nb; jr += kGemmNR) {
-          const std::size_t nr_eff = std::min(kGemmNR, nb - jr);
-          const float* bpanel = bp + (jr / kGemmNR) * (kb * kGemmNR);
-          for (std::size_t ir = 0; ir < mb; ir += kGemmMR) {
-            const std::size_t mr_eff = std::min(kGemmMR, mb - ir);
-            const float* apanel = ap + (ir / kGemmMR) * (kb * kGemmMR);
-            alignas(detail::kGemmAlign) float acc[kGemmMR * kGemmNR] = {};
-            micro_kernel(kb, apanel, bpanel, acc);
-            merge_tile(acc, c + (ic + ir) * ldc + jc + jr, ldc, mr_eff,
-                       nr_eff, beta_eff);
+        float* ap = abuf.ensure(round_up(mb, MR) * kb);
+        detail::pack_a<MR, TransA>(g.a, g.lda, ic, mb, pc, kb, g.alpha, ap);
+        for (std::size_t jr = 0; jr < nb; jr += NR) {
+          const float* bpanel = bp + (jr / NR) * (kb * NR);
+          for (std::size_t ir = 0; ir < mb; ir += MR) {
+            Tile::apply(kb, ap + (ir / MR) * (kb * MR), bpanel,
+                        g.c + (ic + ir) * g.ldc + jc + jr, g.ldc,
+                        std::min(MR, mb - ir), std::min(NR, nb - jr),
+                        beta_eff);
           }
         }
       }
     }
   }
+}
+
+template <class Tile>
+void run_packed(GemmOp op, const GemmArgs& g) {
+  switch (op) {
+    case GemmOp::NN: return gemm_packed<Tile, false, false>(g);
+    case GemmOp::TN: return gemm_packed<Tile, true, false>(g);
+    case GemmOp::NT: return gemm_packed<Tile, false, true>(g);
+  }
+}
+
+template <class Tile>
+constexpr GemmKernel kernel_of(bool (*supported)()) {
+  return {{Tile::MR, Tile::NR, Tile::MC, Tile::KC, Tile::NC, Tile::kName},
+          supported,
+          &run_packed<Tile>};
+}
+
+constexpr GemmKernel kKernels[] = {
+#if defined(__x86_64__)
+    kernel_of<detail::avx512::Tile>(
+        [] { return __builtin_cpu_supports("avx512f") != 0; }),
+    kernel_of<detail::avx2::Tile>([] {
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("fma") != 0;
+    }),
+#endif
+    kernel_of<detail::sse2::Tile>([] { return true; }),
+};
+
+const GemmKernel& select_kernel() {
+#if defined(__x86_64__)
+  // Selection may run from a static initializer, before libgcc's own.
+  __builtin_cpu_init();
+#endif
+  // The last entry is supported everywhere, so the search always succeeds.
+  const GemmKernel& chosen =
+      *std::find_if(std::begin(kKernels), std::end(kKernels),
+                    [](const GemmKernel& k) { return k.supported(); });
+  obs::Metrics::instance().counter_add(std::string("tensor.gemm_kernel.") +
+                                       chosen.config.kernel);
+  return chosen;
+}
+
+void gemm(GemmOp op, const GemmArgs& g) {
+  detail::gemm_run(detail::selected_gemm_kernel(), op, g);
 }
 
 }  // namespace
@@ -175,8 +177,7 @@ void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   log_shape_once("nn", m, n, k);
   obs::ScopedSpan span(obs::SpanKind::Gemm, "nn");
   span.set_args(m * n, k);
-  gemm_packed<false, false>(a.data(), k, b.data(), n, c.data(), n, m, n, k,
-                            alpha, beta);
+  gemm(GemmOp::NN, {a.data(), k, b.data(), n, c.data(), n, m, n, k, alpha, beta});
 }
 
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
@@ -188,8 +189,7 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   log_shape_once("tn", m, n, k);
   obs::ScopedSpan span(obs::SpanKind::Gemm, "tn");
   span.set_args(m * n, k);
-  gemm_packed<true, false>(a.data(), m, b.data(), n, c.data(), n, m, n, k,
-                           alpha, beta);
+  gemm(GemmOp::TN, {a.data(), m, b.data(), n, c.data(), n, m, n, k, alpha, beta});
 }
 
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
@@ -201,8 +201,11 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
   log_shape_once("nt", m, n, k);
   obs::ScopedSpan span(obs::SpanKind::Gemm, "nt");
   span.set_args(m * n, k);
-  gemm_packed<false, true>(a.data(), k, b.data(), k, c.data(), n, m, n, k,
-                           alpha, beta);
+  gemm(GemmOp::NT, {a.data(), k, b.data(), k, c.data(), n, m, n, k, alpha, beta});
+}
+
+const GemmConfig& gemm_config() {
+  return detail::selected_gemm_kernel().config;
 }
 
 void set_gemm_shape_metrics(bool on) {
@@ -246,4 +249,30 @@ Matrix matmul_reference(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+namespace detail {
+
+std::span<const GemmKernel> gemm_kernels() { return kKernels; }
+
+const GemmKernel& selected_gemm_kernel() {
+  static const GemmKernel& kernel = select_kernel();
+  return kernel;
+}
+
+void gemm_run(const GemmKernel& kernel, GemmOp op, const GemmArgs& g) {
+  if (g.m == 0 || g.n == 0) return;
+  if (g_dry_run.load(std::memory_order_relaxed)) {
+    // Compute elision (static schedule analyzer): zero C without reading
+    // A/B. Downstream layers see exact shapes and exact message sizes —
+    // payloads flow zero-filled — while the FMA cost disappears.
+    scale_c(g.c, g.ldc, g.m, g.n, 0.0f);
+    return;
+  }
+  if (g.k == 0 || g.alpha == 0.0f) {
+    scale_c(g.c, g.ldc, g.m, g.n, g.beta);
+    return;
+  }
+  kernel.run(op, g);
+}
+
+}  // namespace detail
 }  // namespace mbd::tensor
