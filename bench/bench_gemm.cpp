@@ -140,16 +140,51 @@ void BM_Conv2DBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2DBackward)->Arg(1)->Arg(4)->Arg(16);
 
+// One train_conv_hybrid conv2 step on one rank: 16 -> 16 channels, 3x3, a
+// 16x32 height slab, B=16 (forward + backward through the layer's reused
+// buffers).
+void BM_Conv2DSlabStep(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  mbd::Rng rng(15);
+  const mbd::tensor::ConvGeom g{16, 16, 32, 16, 3, 3, 1, 1};
+  mbd::nn::Conv2D conv("c", g, rng);
+  const Matrix x = rand_matrix(16 * 16 * 32, batch, 16);
+  const Matrix dy = rand_matrix(16 * 16 * 32, batch, 17);
+  for (auto _ : state) {
+    Matrix y = conv.forward(x);
+    Matrix dx = conv.backward(dy);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_Conv2DSlabStep)->Arg(16);
+
+// AlexNet-conv2-like lowering (64 channels, 5x5, 27x27, pad 2) into a reused
+// columns block, and its adjoint.
+const mbd::tensor::ConvGeom kLoweringGeom{64, 27, 27, 96, 5, 5, 1, 2};
+
 void BM_Im2Col(benchmark::State& state) {
   mbd::Rng rng(14);
-  const mbd::tensor::ConvGeom g{64, 27, 27, 96, 5, 5, 1, 2};
-  const auto t = mbd::tensor::Tensor4::random_normal(1, 64, 27, 27, rng, 1.0f);
+  const auto& g = kLoweringGeom;
+  const auto t = Tensor4::random_normal(1, g.in_c, g.in_h, g.in_w, rng, 1.0f);
+  Matrix cols(g.col_rows(), g.col_cols());
   for (auto _ : state) {
-    Matrix cols = mbd::tensor::im2col(t, 0, g);
+    im2col(t, 0, g, cols);
     benchmark::DoNotOptimize(cols.data());
   }
 }
 BENCHMARK(BM_Im2Col);
+
+void BM_Col2Im(benchmark::State& state) {
+  const auto& g = kLoweringGeom;
+  const Matrix cols = rand_matrix(g.col_rows(), g.col_cols(), 18);
+  Tensor4 grad(1, g.in_c, g.in_h, g.in_w);
+  for (auto _ : state) {
+    col2im_add(cols, grad, 0, g);
+    benchmark::DoNotOptimize(grad.data());
+  }
+}
+BENCHMARK(BM_Col2Im);
 
 void BM_GemmReference(benchmark::State& state) {
   const auto d = static_cast<std::size_t>(state.range(0));

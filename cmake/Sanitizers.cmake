@@ -2,7 +2,8 @@
 #
 # MBD_SANITIZE is a comma-separated list of sanitizers to enable globally:
 #   -DMBD_SANITIZE=thread              # TSan: races on Fabric/Mailbox state
-#   -DMBD_SANITIZE=address,undefined   # ASan+UBSan: memory + UB
+#   -DMBD_SANITIZE=address,undefined   # ASan+UBSan: memory + UB, plus the
+#                                      # libstdc++ assertions (_GLIBCXX_ASSERTIONS)
 #   -DMBD_SANITIZE=leak                # standalone LeakSanitizer
 #
 # Flags are applied with add_compile_options/add_link_options from the top
@@ -43,6 +44,12 @@ if(MBD_SANITIZE)
   if("undefined" IN_LIST _mbd_san_list)
     # Make every UBSan finding fatal instead of a log line CI would miss.
     add_compile_options(-fno-sanitize-recover=undefined)
+  endif()
+  if("address" IN_LIST _mbd_san_list OR "undefined" IN_LIST _mbd_san_list)
+    # libstdc++ bounds assertions (vector/span operator[], hence
+    # Matrix::operator() and Tensor4::at): an index that stays inside one
+    # allocation, which ASan cannot see, still aborts.
+    add_compile_definitions(_GLIBCXX_ASSERTIONS)
   endif()
   add_link_options(-fsanitize=${_mbd_san_flag})
 endif()

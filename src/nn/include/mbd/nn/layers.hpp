@@ -16,6 +16,7 @@
 
 #include "mbd/nn/layer_spec.hpp"
 #include "mbd/tensor/matrix.hpp"
+#include "mbd/tensor/tensor4.hpp"
 
 namespace mbd::nn {
 
@@ -69,7 +70,9 @@ class FullyConnected final : public Layer {
 };
 
 /// Convolution layer via im2col + gemm; weights stored as
-/// out_c × (in_c·kh·kw), activations flattened CHW per column.
+/// out_c × (in_c·kh·kw), activations flattened CHW per column. Each call
+/// converts its batch to NCHW once and runs one GEMM per sample on buffers
+/// the layer keeps across steps.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::string name, const tensor::ConvGeom& geom, Rng& rng);
@@ -87,7 +90,11 @@ class Conv2D final : public Layer {
  private:
   std::string name_;
   tensor::ConvGeom geom_;
-  tensor::Matrix w_, dw_, x_;
+  tensor::Matrix w_, dw_;
+  tensor::Tensor4 x_;    ///< NCHW input cached for backward
+  tensor::Tensor4 out_;  ///< NCHW scratch: Y in forward, ∆Y in backward
+  tensor::Tensor4 dx_;   ///< NCHW ∆X scratch col2im accumulates into
+  tensor::Matrix cols_;  ///< one sample's columns (∆columns in backward)
 };
 
 /// Elementwise ReLU.

@@ -1,5 +1,6 @@
 #include "mbd/nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "mbd/support/check.hpp"
@@ -12,18 +13,6 @@ namespace mbd::nn {
 using tensor::Matrix;
 
 namespace {
-
-/// Copy column j of a d × B matrix into a contiguous buffer.
-void get_column(const Matrix& m, std::size_t j, std::span<float> out) {
-  MBD_CHECK_EQ(out.size(), m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) out[i] = m(i, j);
-}
-
-/// Write a contiguous buffer into column j.
-void set_column(Matrix& m, std::size_t j, std::span<const float> in) {
-  MBD_CHECK_EQ(in.size(), m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) m(i, j) = in[i];
-}
 
 std::uint64_t hash3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   std::uint64_t x = a * 0x9E3779B97F4A7C15ULL ^ b * 0xC2B2AE3D27D4EB4FULL ^
@@ -82,48 +71,42 @@ Conv2D::Conv2D(std::string name, const tensor::ConvGeom& geom, Matrix w)
 }
 
 Matrix Conv2D::forward(const Matrix& x) {
-  const std::size_t d_in = geom_.in_c * geom_.in_h * geom_.in_w;
-  MBD_CHECK_EQ(x.rows(), d_in);
-  x_ = x;
+  MBD_CHECK_EQ(x.rows(), geom_.in_c * geom_.in_h * geom_.in_w);
   const std::size_t batch = x.cols();
   const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
-  Matrix y(geom_.out_c * oh * ow, batch);
-  std::vector<float> sample(d_in);
-  tensor::Tensor4 t(1, geom_.in_c, geom_.in_h, geom_.in_w);
+  x_.ensure_shape(batch, geom_.in_c, geom_.in_h, geom_.in_w);
+  tensor::columns_to_nchw(x, x_);
+  out_.ensure_shape(batch, geom_.out_c, oh, ow);
+  if (cols_.empty()) cols_ = Matrix(geom_.col_rows(), geom_.col_cols());
   for (std::size_t b = 0; b < batch; ++b) {
-    get_column(x, b, sample);
-    std::copy(sample.begin(), sample.end(), t.data());
-    const Matrix cols = tensor::im2col(t, 0, geom_);
-    const Matrix ys = tensor::matmul(w_, cols);  // out_c × (oh·ow)
-    set_column(y, b, ys.span());
+    tensor::im2col(x_, b, geom_, cols_);
+    tensor::gemm_nn(w_, cols_, out_.sample_matrix(b));  // out_c × (oh·ow)
   }
+  Matrix y(geom_.out_c * oh * ow, batch);
+  tensor::nchw_to_columns(out_, y);
   return y;
 }
 
 Matrix Conv2D::backward(const Matrix& dy) {
-  const std::size_t d_in = geom_.in_c * geom_.in_h * geom_.in_w;
   const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
+  const std::size_t batch = x_.n();
   MBD_CHECK_EQ(dy.rows(), geom_.out_c * oh * ow);
-  const std::size_t batch = x_.cols();
   MBD_CHECK_EQ(dy.cols(), batch);
-  Matrix dx(d_in, batch);
+  out_.ensure_shape(batch, geom_.out_c, oh, ow);
+  tensor::columns_to_nchw(dy, out_);
+  dx_.ensure_shape(batch, geom_.in_c, geom_.in_h, geom_.in_w);
+  std::fill(dx_.span().begin(), dx_.span().end(), 0.0f);
   std::fill(dw_.span().begin(), dw_.span().end(), 0.0f);
-  std::vector<float> sample(d_in), dy_col(dy.rows());
-  tensor::Tensor4 t(1, geom_.in_c, geom_.in_h, geom_.in_w);
-  tensor::Tensor4 dt(1, geom_.in_c, geom_.in_h, geom_.in_w);
   for (std::size_t b = 0; b < batch; ++b) {
-    get_column(x_, b, sample);
-    std::copy(sample.begin(), sample.end(), t.data());
-    const Matrix cols = tensor::im2col(t, 0, geom_);
-    get_column(dy, b, dy_col);
-    const Matrix dys = Matrix::from_data(geom_.out_c, oh * ow,
-                                         {dy_col.begin(), dy_col.end()});
-    tensor::gemm_nt(dys, cols, dw_, 1.0f, 1.0f);   // ∆W += ∆Y_s colsᵀ
-    const Matrix dcols = tensor::matmul_tn(w_, dys);  // Wᵀ ∆Y_s
-    std::fill(dt.span().begin(), dt.span().end(), 0.0f);
-    tensor::col2im_add(dcols, dt, 0, geom_);
-    set_column(dx, b, dt.span());
+    tensor::im2col(x_, b, geom_, cols_);
+    const tensor::ConstMatrixRef dys = out_.sample_matrix(b);
+    tensor::gemm_nt(dys, cols_, dw_, 1.0f, 1.0f);  // ∆W += ∆Y_s colsᵀ
+    // ∆W is done with this sample's columns: Wᵀ ∆Y_s overwrites them.
+    tensor::gemm_tn(w_, dys, cols_);
+    tensor::col2im_add(cols_, dx_, b, geom_);
   }
+  Matrix dx(geom_.in_c * geom_.in_h * geom_.in_w, batch);
+  tensor::nchw_to_columns(dx_, dx);
   return dx;
 }
 

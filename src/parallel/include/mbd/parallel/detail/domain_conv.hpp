@@ -7,6 +7,7 @@
 #pragma once
 
 #include <utility>
+#include <vector>
 
 #include "mbd/comm/comm.hpp"
 #include "mbd/parallel/common.hpp"
@@ -29,12 +30,12 @@ struct DomainConvState {
   tensor::Matrix w, dw;       ///< full weights, replicated on every process
   tensor::Tensor4 ext_input;  ///< extended input slab cached for backward
   tensor::Tensor4 y_pre;      ///< pre-activation output slab
+  // Scratch reused across steps and sized on the first call: the lowered
+  // columns block of one sample (∆columns in backward) and the extended ∆X
+  // slab col2im accumulates into.
+  std::vector<float> cols;
+  tensor::Tensor4 d_ext;
 };
-
-/// Columns-per-sample matrix layout -> NCHW tensor.
-tensor::Tensor4 matrix_to_tensor(const tensor::Matrix& m, std::size_t c,
-                                 std::size_t h, std::size_t w);
-tensor::Matrix tensor_to_matrix(const tensor::Tensor4& t);
 
 /// Post the (buffered, hence non-blocking) halo sends: my top `halo` rows to
 /// the up neighbour, bottom rows to the down neighbour.
@@ -65,7 +66,8 @@ tensor::Tensor4 domain_conv_backward(comm::Comm& group, DomainConvState& l,
                                      tensor::Tensor4 dslab);
 
 /// All-gather the per-process height slabs of the conv output into the full
-/// tensor (img_h rows). Slabs must be equal height (img_h % group.size()==0).
+/// tensor (img_h rows). Slab heights follow block_range(img_h, p, rank):
+/// equal slabs go through the all-gather, uneven ones through all-gatherv.
 tensor::Tensor4 gather_slabs(comm::Comm& group, const tensor::Tensor4& slab,
                              std::size_t img_h);
 

@@ -9,26 +9,7 @@
 namespace mbd::parallel::detail {
 
 using tensor::ConvGeom;
-using tensor::Matrix;
 using tensor::Tensor4;
-
-Tensor4 matrix_to_tensor(const Matrix& m, std::size_t c, std::size_t h,
-                         std::size_t w) {
-  MBD_CHECK_EQ(m.rows(), c * h * w);
-  Tensor4 t(m.cols(), c, h, w);
-  for (std::size_t b = 0; b < m.cols(); ++b)
-    for (std::size_t i = 0; i < m.rows(); ++i)
-      t.data()[b * m.rows() + i] = m(i, b);
-  return t;
-}
-
-Matrix tensor_to_matrix(const Tensor4& t) {
-  const std::size_t d = t.c() * t.h() * t.w();
-  Matrix m(d, t.n());
-  for (std::size_t b = 0; b < t.n(); ++b)
-    for (std::size_t i = 0; i < d; ++i) m(i, b) = t.data()[b * d + i];
-  return m;
-}
 
 void send_halo(comm::Comm& group, const Tensor4& slab, std::size_t halo) {
   const int p = group.size();
@@ -75,25 +56,61 @@ std::pair<Tensor4, Tensor4> exchange_halo(comm::Comm& group,
 
 namespace {
 
+/// Write every row of `src` (the slab, or the halo rows a neighbour sent)
+/// into the extended slab from row `dst_h0` on, with zeros in the horizontal
+/// pad columns. Every entry of those rows is written, so the reused slab
+/// needs no zero-fill.
+void fill_ext_rows(const Tensor4& src, Tensor4& ext, std::size_t dst_h0) {
+  const std::size_t w = src.w(), pad = (ext.w() - w) / 2;
+  for (std::size_t b = 0; b < src.n(); ++b)
+    for (std::size_t c = 0; c < src.c(); ++c)
+      for (std::size_t hh = 0; hh < src.h(); ++hh) {
+        float* dst = ext.data() + ext.offset(b, c, dst_h0 + hh, 0);
+        std::fill(dst, dst + pad, 0.0f);
+        std::copy_n(src.data() + src.offset(b, c, hh, 0), w, dst + pad);
+        std::fill(dst + pad + w, dst + ext.w(), 0.0f);
+      }
+}
+
+/// Rows [h0, h0 + rows) of the extended ∆X slab without its pad columns.
+Tensor4 crop_rows(const Tensor4& d_ext, std::size_t h0, std::size_t rows,
+                  std::size_t halo) {
+  Tensor4 out(d_ext.n(), d_ext.c(), rows, d_ext.w() - 2 * halo);
+  for (std::size_t b = 0; b < out.n(); ++b)
+    for (std::size_t c = 0; c < out.c(); ++c)
+      for (std::size_t hh = 0; hh < rows; ++hh)
+        std::copy_n(d_ext.data() + d_ext.offset(b, c, h0 + hh, halo), out.w(),
+                    out.data() + out.offset(b, c, hh, 0));
+  return out;
+}
+
+/// The reused columns block of `l` as a rows × cols matrix.
+tensor::MatrixRef cols_block(DomainConvState& l, std::size_t rows,
+                             std::size_t cols) {
+  // Grow only: the overlapped schedule alternates band sizes every step.
+  if (l.cols.size() < rows * cols) l.cols.resize(rows * cols);
+  return {l.cols.data(), rows, cols};
+}
+
 /// Convolve a horizontal band of the extended slab: input rows
 /// [band_lo, band_lo + band_rows + 2·halo) of `ext` produce output rows
-/// [band_lo, band_lo + band_rows) of `y`.
-void conv_band(const DomainConvState& l, const Tensor4& ext, Tensor4& y,
+/// [band_lo, band_lo + band_rows) of `y`. The band is lowered in place and
+/// each sample's GEMM writes straight into its rows of `y`.
+void conv_band(DomainConvState& l, const Tensor4& ext, Tensor4& y,
                std::size_t band_lo, std::size_t band_rows) {
   if (band_rows == 0) return;
   const std::size_t halo = l.geom.kernel_h / 2;
-  const Tensor4 band = ext.height_slab(band_lo, band_lo + band_rows + 2 * halo);
-  const ConvGeom ge{l.geom.in_c, band.h(), ext.w(), l.geom.out_c,
+  const ConvGeom ge{l.geom.in_c, band_rows + 2 * halo, ext.w(), l.geom.out_c,
                     l.geom.kernel_h, l.geom.kernel_w, 1, 0};
   MBD_CHECK_EQ(ge.out_h(), band_rows);
   MBD_CHECK_EQ(ge.out_w(), y.w());
+  const tensor::MatrixRef cols = cols_block(l, ge.col_rows(), ge.col_cols());
   for (std::size_t b = 0; b < ext.n(); ++b) {
-    const Matrix cols = tensor::im2col(band, b, ge);
-    const Matrix ys = tensor::matmul(l.w, cols);  // out_c × (band_rows·w)
-    for (std::size_t oc = 0; oc < l.geom.out_c; ++oc)
-      for (std::size_t i = 0; i < band_rows * y.w(); ++i)
-        y.data()[y.offset(b, oc, band_lo, 0) + i] =
-            ys(oc, i);
+    tensor::im2col(ext, b, ge, cols, band_lo);
+    // out_c × (band_rows·w), rows one output channel plane apart.
+    const tensor::MatrixRef ys(y.data() + y.offset(b, 0, band_lo, 0),
+                               l.geom.out_c, ge.col_cols(), y.h() * y.w());
+    tensor::gemm_nn(l.w, cols, ys);
   }
 }
 
@@ -102,27 +119,20 @@ void conv_band(const DomainConvState& l, const Tensor4& ext, Tensor4& y,
 Tensor4 domain_conv_forward(comm::Comm& group, DomainConvState& l,
                             const Tensor4& slab) {
   const int p = group.size();
-  const int r = group.rank();
   const std::size_t halo = l.geom.kernel_h / 2;
   MBD_CHECK_MSG(slab.h() >= halo,
                 "slab of " << slab.h() << " rows shorter than halo " << halo);
   send_halo(group, slab, halo);
 
-  // Extended slab: explicit vertical halo rows plus horizontal zero pad.
-  const std::size_t eh = slab.h() + 2 * halo;
-  const std::size_t ew = slab.w() + 2 * halo;
-  Tensor4 ext(slab.n(), slab.c(), eh, ew);
-  auto fill_rows = [&](const Tensor4& src, std::size_t rows_n,
-                       std::size_t dst_h0) {
-    for (std::size_t b = 0; b < slab.n(); ++b)
-      for (std::size_t c = 0; c < slab.c(); ++c)
-        for (std::size_t hh = 0; hh < rows_n; ++hh)
-          for (std::size_t ww = 0; ww < src.w(); ++ww)
-            ext.at(b, c, dst_h0 + hh, halo + ww) = src.at(b, c, hh, ww);
-  };
-  fill_rows(slab, slab.h(), halo);
+  // Extended slab: explicit vertical halo rows plus horizontal zero pad,
+  // cached in `l` for backward.
+  Tensor4& ext = l.ext_input;
+  ext.ensure_shape(slab.n(), slab.c(), slab.h() + 2 * halo,
+                   slab.w() + 2 * halo);
+  fill_ext_rows(slab, ext, halo);
 
-  Tensor4 y(slab.n(), l.geom.out_c, slab.h(), slab.w());
+  Tensor4& y = l.y_pre;
+  y.ensure_shape(slab.n(), l.geom.out_c, slab.h(), slab.w());
   const bool overlap =
       l.overlap_halo && halo > 0 && p > 1 && slab.h() >= 2 * halo;
   if (overlap) {
@@ -131,9 +141,10 @@ Tensor4 domain_conv_forward(comm::Comm& group, DomainConvState& l,
     conv_band(l, ext, y, halo, slab.h() - 2 * halo);
   }
 
-  auto [top, bottom] = recv_halo(group, slab, halo);
-  if (halo > 0 && r > 0) fill_rows(top, halo, 0);
-  if (halo > 0 && r < p - 1) fill_rows(bottom, halo, halo + slab.h());
+  // Zero rows at the image boundary, the neighbours' rows elsewhere.
+  const auto [top, bottom] = recv_halo(group, slab, halo);
+  fill_ext_rows(top, ext, 0);
+  fill_ext_rows(bottom, ext, halo + slab.h());
 
   if (overlap) {
     // Boundary rows now that the halo has arrived.
@@ -143,10 +154,9 @@ Tensor4 domain_conv_forward(comm::Comm& group, DomainConvState& l,
     conv_band(l, ext, y, 0, slab.h());
   }
 
-  l.ext_input = std::move(ext);
-  l.y_pre = y;
-  if (l.relu_after) tensor::relu_forward(l.y_pre.span(), y.span());
-  return y;
+  Tensor4 out = y;
+  if (l.relu_after) tensor::relu_forward(out.span(), out.span());
+  return out;
 }
 
 Tensor4 domain_conv_backward(comm::Comm& group, DomainConvState& l,
@@ -155,58 +165,40 @@ Tensor4 domain_conv_backward(comm::Comm& group, DomainConvState& l,
   const int r = group.rank();
   const std::size_t halo = l.geom.kernel_h / 2;
   const std::size_t h_loc = dslab.h();
-  if (l.relu_after) {
-    Tensor4 d(dslab.n(), dslab.c(), dslab.h(), dslab.w());
-    tensor::relu_backward(l.y_pre.span(), dslab.span(), d.span());
-    dslab = std::move(d);
-  }
-  const std::size_t eh = h_loc + 2 * halo;
-  const std::size_t ew = dslab.w() + 2 * halo;
-  const ConvGeom ge{l.geom.in_c, eh, ew, l.geom.out_c,
-                    l.geom.kernel_h, l.geom.kernel_w, 1, 0};
+  if (l.relu_after)
+    tensor::relu_backward(l.y_pre.span(), dslab.span(), dslab.span());
+  const ConvGeom ge{l.geom.in_c, h_loc + 2 * halo, dslab.w() + 2 * halo,
+                    l.geom.out_c, l.geom.kernel_h, l.geom.kernel_w, 1, 0};
   std::fill(l.dw.span().begin(), l.dw.span().end(), 0.0f);
-  Tensor4 d_ext(dslab.n(), l.geom.in_c, eh, ew);
-  const std::size_t out_elems = dslab.c() * dslab.h() * dslab.w();
+  Tensor4& d_ext = l.d_ext;
+  d_ext.ensure_shape(dslab.n(), ge.in_c, ge.in_h, ge.in_w);
+  std::fill(d_ext.span().begin(), d_ext.span().end(), 0.0f);
+  const tensor::MatrixRef cols = cols_block(l, ge.col_rows(), ge.col_cols());
   for (std::size_t b = 0; b < dslab.n(); ++b) {
-    const Matrix cols = tensor::im2col(l.ext_input, b, ge);
-    const float* dy0 = dslab.data() + dslab.offset(b, 0, 0, 0);
-    const Matrix dys = Matrix::from_data(l.geom.out_c, dslab.h() * dslab.w(),
-                                         {dy0, dy0 + out_elems});
+    tensor::im2col(l.ext_input, b, ge, cols);
+    const tensor::ConstMatrixRef dys = dslab.sample_matrix(b);
     tensor::gemm_nt(dys, cols, l.dw, 1.0f, 1.0f);
-    const Matrix dcols = tensor::matmul_tn(l.w, dys);
-    tensor::col2im_add(dcols, d_ext, b, ge);
+    // ∆W is done with this sample's columns: ∆cols = Wᵀ ∆Y overwrites them.
+    tensor::gemm_tn(l.w, dys, cols);
+    tensor::col2im_add(cols, d_ext, b, ge);
   }
   // Interior input-gradient slab (horizontal pad columns are discarded).
-  const std::size_t in_w = dslab.w();
-  Tensor4 dnext(dslab.n(), l.geom.in_c, h_loc, in_w);
-  for (std::size_t b = 0; b < dslab.n(); ++b)
-    for (std::size_t c = 0; c < l.geom.in_c; ++c)
-      for (std::size_t hh = 0; hh < h_loc; ++hh)
-        for (std::size_t ww = 0; ww < in_w; ++ww)
-          dnext.at(b, c, hh, ww) = d_ext.at(b, c, halo + hh, halo + ww);
+  Tensor4 dnext = crop_rows(d_ext, halo, h_loc, halo);
   if (halo > 0 && p > 1) {
     // Boundary contributions computed here belong to the neighbours.
-    Tensor4 to_up(dslab.n(), l.geom.in_c, halo, in_w);
-    Tensor4 to_down(dslab.n(), l.geom.in_c, halo, in_w);
-    for (std::size_t b = 0; b < dslab.n(); ++b)
-      for (std::size_t c = 0; c < l.geom.in_c; ++c)
-        for (std::size_t hh = 0; hh < halo; ++hh)
-          for (std::size_t ww = 0; ww < in_w; ++ww) {
-            to_up.at(b, c, hh, ww) = d_ext.at(b, c, hh, halo + ww);
-            to_down.at(b, c, hh, ww) =
-                d_ext.at(b, c, halo + h_loc + hh, halo + ww);
-          }
-    if (r > 0) group.send(r - 1, to_up.span(), /*tag=*/3);
-    if (r < p - 1) group.send(r + 1, to_down.span(), /*tag=*/4);
+    if (r > 0)
+      group.send(r - 1, crop_rows(d_ext, 0, halo, halo).span(), /*tag=*/3);
+    if (r < p - 1)
+      group.send(r + 1, crop_rows(d_ext, halo + h_loc, halo, halo).span(),
+                 /*tag=*/4);
     auto accumulate = [&](std::span<const float> rows, std::size_t dst_h0) {
-      Tensor4 add(dslab.n(), l.geom.in_c, halo, in_w);
-      MBD_CHECK_EQ(rows.size(), add.size());
-      std::copy(rows.begin(), rows.end(), add.data());
-      for (std::size_t b = 0; b < dslab.n(); ++b)
-        for (std::size_t c = 0; c < l.geom.in_c; ++c)
-          for (std::size_t hh = 0; hh < halo; ++hh)
-            for (std::size_t ww = 0; ww < in_w; ++ww)
-              dnext.at(b, c, dst_h0 + hh, ww) += add.at(b, c, hh, ww);
+      MBD_CHECK_EQ(rows.size(), dnext.n() * dnext.c() * halo * dnext.w());
+      const float* src = rows.data();
+      for (std::size_t b = 0; b < dnext.n(); ++b)
+        for (std::size_t c = 0; c < dnext.c(); ++c) {
+          float* dst = dnext.data() + dnext.offset(b, c, dst_h0, 0);
+          for (std::size_t i = 0; i < halo * dnext.w(); ++i) dst[i] += *src++;
+        }
     };
     if (r < p - 1) {
       const auto from_below = group.recv<float>(r + 1, /*tag=*/3);

@@ -328,8 +328,8 @@ SlabScatterStage::SlabScatterStage(std::size_t in_c, std::size_t in_h,
     : in_c_(in_c), in_h_(in_h), in_w_(in_w), rows_(rows) {}
 
 Flow SlabScatterStage::forward(Flow in, const StepContext& /*ctx*/) {
-  const Tensor4 full =
-      detail::matrix_to_tensor(in.as_matrix(), in_c_, in_h_, in_w_);
+  Tensor4 full(in.as_matrix().cols(), in_c_, in_h_, in_w_);
+  tensor::columns_to_nchw(in.as_matrix(), full);
   return Flow::from_tensor(full.height_slab(rows_.lo, rows_.hi));
 }
 
@@ -345,13 +345,15 @@ SlabGatherStage::SlabGatherStage(comm::Comm* group, std::size_t out_c,
 
 Flow SlabGatherStage::forward(Flow in, const StepContext& /*ctx*/) {
   const Tensor4 full = detail::gather_slabs(*group_, in.as_tensor(), img_h_);
-  return Flow::from_matrix(detail::tensor_to_matrix(full));
+  Matrix x(out_c_ * img_h_ * img_w_, full.n());
+  tensor::nchw_to_columns(full, x);
+  return Flow::from_matrix(std::move(x));
 }
 
 Flow SlabGatherStage::backward(Flow grad, const StepContext& /*ctx*/,
                                GradReducer& /*red*/) {
-  const Tensor4 full =
-      detail::matrix_to_tensor(grad.as_matrix(), out_c_, img_h_, img_w_);
+  Tensor4 full(grad.as_matrix().cols(), out_c_, img_h_, img_w_);
+  tensor::columns_to_nchw(grad.as_matrix(), full);
   return Flow::from_tensor(full.height_slab(rows_.lo, rows_.hi));
 }
 

@@ -19,17 +19,19 @@
 
 namespace mbd::tensor {
 
-/// C = alpha·A·B + beta·C. Shapes: A m×k, B k×n, C m×n.
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
-             float beta = 0.0f);
+/// C = alpha·A·B + beta·C. Shapes: A m×k, B k×n, C m×n. Each operand may be
+/// a Matrix or a strided view into a larger buffer (MatrixRef); the bits of
+/// C do not depend on the leading dimensions.
+void gemm_nn(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c,
+             float alpha = 1.0f, float beta = 0.0f);
 
 /// C = alpha·Aᵀ·B + beta·C. Shapes: A k×m, B k×n, C m×n.
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
-             float beta = 0.0f);
+void gemm_tn(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c,
+             float alpha = 1.0f, float beta = 0.0f);
 
 /// C = alpha·A·Bᵀ + beta·C. Shapes: A m×k, B n×k, C m×n.
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha = 1.0f,
-             float beta = 0.0f);
+void gemm_nt(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c,
+             float alpha = 1.0f, float beta = 0.0f);
 
 /// Convenience allocating forms.
 Matrix matmul(const Matrix& a, const Matrix& b);         ///< A·B

@@ -76,6 +76,33 @@ class Matrix {
   std::vector<float> data_;
 };
 
+/// Non-owning view of a rows × cols row-major block whose rows start `ld`
+/// floats apart (ld ≥ cols): a whole Matrix, a reused scratch buffer, or one
+/// sample's channels × pixels inside an NCHW tensor. The GEMM and the conv
+/// lowering read and write through these, so callers need not copy into a
+/// Matrix first; a Matrix converts implicitly.
+struct MatrixRef {
+  float* data;
+  std::size_t rows, cols, ld;
+
+  MatrixRef(float* d, std::size_t r, std::size_t c) : MatrixRef(d, r, c, c) {}
+  MatrixRef(float* d, std::size_t r, std::size_t c, std::size_t l)
+      : data(d), rows(r), cols(c), ld(l) {}
+  MatrixRef(Matrix& m) : MatrixRef(m.data(), m.rows(), m.cols()) {}
+};
+
+/// Read-only counterpart of MatrixRef.
+struct ConstMatrixRef {
+  const float* data;
+  std::size_t rows, cols, ld;
+
+  ConstMatrixRef(const float* d, std::size_t r, std::size_t c, std::size_t l)
+      : data(d), rows(r), cols(c), ld(l) {}
+  ConstMatrixRef(const Matrix& m)
+      : ConstMatrixRef(m.data(), m.rows(), m.cols(), m.cols()) {}
+  ConstMatrixRef(MatrixRef m) : ConstMatrixRef(m.data, m.rows, m.cols, m.ld) {}
+};
+
 /// max_ij |a_ij - b_ij|; shapes must match.
 float max_abs_diff(const Matrix& a, const Matrix& b);
 

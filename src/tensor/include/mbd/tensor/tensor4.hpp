@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "mbd/support/rng.hpp"
+#include "mbd/tensor/matrix.hpp"
 
 namespace mbd::tensor {
 
@@ -47,6 +48,17 @@ class Tensor4 {
   std::span<float> span() { return {data_.data(), data_.size()}; }
   std::span<const float> span() const { return {data_.data(), data_.size()}; }
 
+  /// Keep the buffer if the shape is already n×c×h×w, else reallocate it
+  /// zero-filled: scratch tensors reused across steps are sized on first use.
+  void ensure_shape(std::size_t n, std::size_t c, std::size_t h,
+                    std::size_t w);
+
+  /// Sample `n` as a c × (h·w) matrix, one row per channel (the GEMM operand
+  /// of a lowered convolution).
+  MatrixRef sample_matrix(std::size_t n) {
+    return {data_.data() + offset(n, 0, 0, 0), c_, h_ * w_};
+  }
+
   /// Copy of rows [h_lo, h_hi) across all samples and channels (the domain
   /// partition of Fig. 3).
   Tensor4 height_slab(std::size_t h_lo, std::size_t h_hi) const;
@@ -57,6 +69,11 @@ class Tensor4 {
   std::size_t n_ = 0, c_ = 0, h_ = 0, w_ = 0;
   std::vector<float> data_;
 };
+
+/// The paper's d × B layout (one CHW column per sample, d = c·h·w) to NCHW
+/// and back. `t` supplies the shape: B × c × h × w.
+void columns_to_nchw(const Matrix& m, Tensor4& t);
+void nchw_to_columns(const Tensor4& t, Matrix& m);
 
 /// max |a-b| over all elements; shapes must match.
 float max_abs_diff(const Tensor4& a, const Tensor4& b);

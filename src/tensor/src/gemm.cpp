@@ -168,40 +168,40 @@ void gemm(GemmOp op, const GemmArgs& g) {
 
 }  // namespace
 
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_nn(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha,
              float beta) {
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  MBD_CHECK_EQ(b.rows(), k);
-  MBD_CHECK_EQ(c.rows(), m);
-  MBD_CHECK_EQ(c.cols(), n);
+  const std::size_t m = a.rows, k = a.cols, n = b.cols;
+  MBD_CHECK_EQ(b.rows, k);
+  MBD_CHECK_EQ(c.rows, m);
+  MBD_CHECK_EQ(c.cols, n);
   log_shape_once("nn", m, n, k);
   obs::ScopedSpan span(obs::SpanKind::Gemm, "nn");
   span.set_args(m * n, k);
-  gemm(GemmOp::NN, {a.data(), k, b.data(), n, c.data(), n, m, n, k, alpha, beta});
+  gemm(GemmOp::NN, {a.data, a.ld, b.data, b.ld, c.data, c.ld, m, n, k, alpha, beta});
 }
 
-void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_tn(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha,
              float beta) {
-  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  MBD_CHECK_EQ(b.rows(), k);
-  MBD_CHECK_EQ(c.rows(), m);
-  MBD_CHECK_EQ(c.cols(), n);
+  const std::size_t k = a.rows, m = a.cols, n = b.cols;
+  MBD_CHECK_EQ(b.rows, k);
+  MBD_CHECK_EQ(c.rows, m);
+  MBD_CHECK_EQ(c.cols, n);
   log_shape_once("tn", m, n, k);
   obs::ScopedSpan span(obs::SpanKind::Gemm, "tn");
   span.set_args(m * n, k);
-  gemm(GemmOp::TN, {a.data(), m, b.data(), n, c.data(), n, m, n, k, alpha, beta});
+  gemm(GemmOp::TN, {a.data, a.ld, b.data, b.ld, c.data, c.ld, m, n, k, alpha, beta});
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, float alpha,
+void gemm_nt(ConstMatrixRef a, ConstMatrixRef b, MatrixRef c, float alpha,
              float beta) {
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  MBD_CHECK_EQ(b.cols(), k);
-  MBD_CHECK_EQ(c.rows(), m);
-  MBD_CHECK_EQ(c.cols(), n);
+  const std::size_t m = a.rows, k = a.cols, n = b.rows;
+  MBD_CHECK_EQ(b.cols, k);
+  MBD_CHECK_EQ(c.rows, m);
+  MBD_CHECK_EQ(c.cols, n);
   log_shape_once("nt", m, n, k);
   obs::ScopedSpan span(obs::SpanKind::Gemm, "nt");
   span.set_args(m * n, k);
-  gemm(GemmOp::NT, {a.data(), k, b.data(), k, c.data(), n, m, n, k, alpha, beta});
+  gemm(GemmOp::NT, {a.data, a.ld, b.data, b.ld, c.data, c.ld, m, n, k, alpha, beta});
 }
 
 const GemmConfig& gemm_config() {

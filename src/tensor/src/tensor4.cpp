@@ -1,5 +1,6 @@
 #include "mbd/tensor/tensor4.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -15,6 +16,12 @@ Tensor4 Tensor4::random_normal(std::size_t n, std::size_t c, std::size_t h,
   Tensor4 t(n, c, h, w);
   rng.fill_normal(t.data_, stddev);
   return t;
+}
+
+void Tensor4::ensure_shape(std::size_t n, std::size_t c, std::size_t h,
+                           std::size_t w) {
+  if (n == n_ && c == c_ && h == h_ && w == w_) return;
+  *this = Tensor4(n, c, h, w);
 }
 
 Tensor4 Tensor4::height_slab(std::size_t h_lo, std::size_t h_hi) const {
@@ -39,6 +46,38 @@ void Tensor4::set_height_slab(std::size_t h_lo, const Tensor4& slab) {
       std::memcpy(data() + offset(n, c, h_lo, 0),
                   slab.data() + slab.offset(n, c, 0, 0),
                   slab.h() * w_ * sizeof(float));
+}
+
+namespace {
+
+/// Rows of the d × B matrix per block of the transpose: the block (64·B
+/// floats) stays in L1 while each sample's run of it is written or read.
+constexpr std::size_t kTransposeRows = 64;
+
+}  // namespace
+
+void columns_to_nchw(const Matrix& m, Tensor4& t) {
+  const std::size_t d = t.c() * t.h() * t.w(), batch = t.n();
+  MBD_CHECK_EQ(m.rows(), d);
+  MBD_CHECK_EQ(m.cols(), batch);
+  for (std::size_t i0 = 0; i0 < d; i0 += kTransposeRows) {
+    const std::size_t i1 = std::min(d, i0 + kTransposeRows);
+    for (std::size_t b = 0; b < batch; ++b)
+      for (std::size_t i = i0; i < i1; ++i)
+        t.data()[b * d + i] = m.data()[i * batch + b];
+  }
+}
+
+void nchw_to_columns(const Tensor4& t, Matrix& m) {
+  const std::size_t d = t.c() * t.h() * t.w(), batch = t.n();
+  MBD_CHECK_EQ(m.rows(), d);
+  MBD_CHECK_EQ(m.cols(), batch);
+  for (std::size_t i0 = 0; i0 < d; i0 += kTransposeRows) {
+    const std::size_t i1 = std::min(d, i0 + kTransposeRows);
+    for (std::size_t b = 0; b < batch; ++b)
+      for (std::size_t i = i0; i < i1; ++i)
+        m.data()[i * batch + b] = t.data()[b * d + i];
+  }
 }
 
 float max_abs_diff(const Tensor4& a, const Tensor4& b) {

@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -187,10 +188,26 @@ TEST(GemmExhaustive, ConfigIsSane) {
 // C(i, j) must not depend on n or on how the rows are split: serving relies
 // on a batch of 8 giving the same logits as eight batches of 1, and the
 // row-partitioned trainers on a row block giving the rows of the full C.
-class GemmKernelBits : public ::testing::TestWithParam<const GemmKernel*> {};
+// gtest prints the value parameter into each discovered test name, so it
+// prints the kernel's name: a bare pointer would print an address that moves
+// with the binary's layout and ASLR, renaming the test from build to build.
+struct KernelParam {
+  const GemmKernel* kernel;
+  friend void PrintTo(const KernelParam& p, std::ostream* os) {
+    *os << p.kernel->config.kernel;
+  }
+};
+
+std::vector<KernelParam> kernel_params() {
+  std::vector<KernelParam> out;
+  for (const GemmKernel* k : supported_kernels()) out.push_back({k});
+  return out;
+}
+
+class GemmKernelBits : public ::testing::TestWithParam<KernelParam> {};
 
 TEST_P(GemmKernelBits, IndependentOfNAndRowSplit) {
-  const GemmKernel& kernel = *GetParam();
+  const GemmKernel& kernel = *GetParam().kernel;
   // k crosses a kc block so the beta-then-accumulate merge is covered too.
   const std::size_t m = 2 * kernel.config.mr + 3, n = 2 * kernel.config.nr + 5,
                     k = kernel.config.kc + 37;
@@ -219,9 +236,9 @@ TEST_P(GemmKernelBits, IndependentOfNAndRowSplit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Kernels, GemmKernelBits, ::testing::ValuesIn(supported_kernels()),
+    Kernels, GemmKernelBits, ::testing::ValuesIn(kernel_params()),
     [](const auto& info) {
-      std::string name = info.param->config.kernel;
+      std::string name = info.param.kernel->config.kernel;
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });

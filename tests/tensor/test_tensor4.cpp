@@ -65,5 +65,34 @@ TEST(Tensor4, RandomNormalDeterministic) {
   EXPECT_FLOAT_EQ(max_abs_diff(a, b), 0.0f);
 }
 
+TEST(Tensor4, ColumnsToNchwAndBack) {
+  // d = 3·5·9 = 135 crosses the transpose's row blocks unevenly.
+  const std::size_t c = 3, h = 5, w = 9, batch = 3, d = c * h * w;
+  Matrix m(d, batch);
+  for (std::size_t i = 0; i < d; ++i)
+    for (std::size_t b = 0; b < batch; ++b)
+      m(i, b) = static_cast<float>(i * 10 + b);
+  Tensor4 t(batch, c, h, w);
+  columns_to_nchw(m, t);
+  for (std::size_t b = 0; b < batch; ++b)
+    for (std::size_t i = 0; i < d; ++i)
+      ASSERT_EQ(t.data()[b * d + i], m(i, b)) << "b " << b << " i " << i;
+  Matrix back(d, batch);
+  nchw_to_columns(t, back);
+  EXPECT_FLOAT_EQ(max_abs_diff(m, back), 0.0f);
+}
+
+TEST(Tensor4, EnsureShapeKeepsOrReallocates) {
+  Tensor4 t = iota(1, 2, 3, 4);
+  t.ensure_shape(1, 2, 3, 4);
+  EXPECT_FLOAT_EQ(t.at(0, 1, 2, 3), 23.0f);  // same shape: contents kept
+  t.ensure_shape(2, 2, 3, 4);
+  EXPECT_EQ(t.n(), 2u);
+  EXPECT_FLOAT_EQ(t.at(0, 1, 2, 3), 0.0f);  // new shape: zero-filled
+  EXPECT_EQ(t.sample_matrix(1).data, t.data() + t.offset(1, 0, 0, 0));
+  EXPECT_EQ(t.sample_matrix(1).rows, 2u);
+  EXPECT_EQ(t.sample_matrix(1).cols, 12u);
+}
+
 }  // namespace
 }  // namespace mbd::tensor
