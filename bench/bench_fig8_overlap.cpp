@@ -53,7 +53,7 @@ struct TrainerCase {
 };
 
 struct RunCapture {
-  comm::Trace trace;
+  comm::ScheduleRecording trace;
   obs::TimelineSnapshot timeline;
 };
 
@@ -64,22 +64,22 @@ RunCapture run_case(const TrainerCase& tc, parallel::ReduceMode mode,
   const bool was_profiling = obs::profiling_enabled();
   obs::enable_profiling(true);
   comm::World world(tc.p);
-  world.enable_tracing();
+  world.enable_schedule_recording();
   world.run([&](comm::Comm& c) { tc.run(c, mode, seconds_per_flop); });
   RunCapture rc;
   rc.timeline = obs::snapshot_timeline();
   obs::enable_profiling(was_profiling);
-  rc.trace = world.trace();
+  rc.trace = world.schedule_recording();
   return rc;
 }
 
 /// Critical-path pure-compute time: max over ranks of annotated seconds.
-double max_rank_compute(const comm::Trace& t) {
+double max_rank_compute(const comm::ScheduleRecording& t) {
   double mx = 0.0;
   for (const auto& rank : t.ranks) {
     double s = 0.0;
-    for (const auto& e : rank)
-      if (e.kind == comm::TraceEvent::Kind::Compute) s += e.seconds;
+    for (const auto& e : rank.events)
+      if (e.kind == comm::ScheduleEventKind::Compute) s += e.seconds;
     mx = std::max(mx, s);
   }
   return mx;

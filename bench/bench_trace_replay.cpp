@@ -19,17 +19,16 @@ namespace {
 
 using namespace mbd;
 
-/// Record one iteration (setup traffic excluded by tracing only the second
-/// of two runs... splits happen per run, so we subtract a 0-iteration run's
-/// events by replaying the difference — simpler: trace a 1-iteration run and
-/// report alongside, noting setup inclusion).
+/// Record the schedule of one run of `fn` on `p` thread ranks and replay it.
+/// Setup traffic (communicator splits) is part of the run and so of the
+/// replay; the table notes it.
 costmodel::ReplayResult replay_one(
     int p, const costmodel::MachineModel& m,
     const std::function<void(comm::Comm&)>& fn) {
   comm::World world(p);
-  world.enable_tracing();
+  world.enable_schedule_recording();
   world.run(fn);
-  return costmodel::replay_trace(world.trace(), m);
+  return costmodel::replay_trace(world.schedule_recording(), m);
 }
 
 }  // namespace
@@ -54,16 +53,13 @@ int main(int argc, char** argv) {
   auto add_row = [&](const std::string& name, int p,
                      const std::function<void(comm::Comm&)>& fn,
                      double closed_form) {
-    comm::World world(p);
-    world.enable_tracing();
-    world.run(fn);
-    const auto r = costmodel::replay_trace(world.trace(), m);
+    const auto r = replay_one(p, m, fn);
     t.row()
         .add(name)
         .add(format_seconds(r.makespan))
         .add(format_seconds(closed_form))
         .add(format_seconds(r.total_recv_wait))
-        .add_int(static_cast<long long>(world.trace().total_events()));
+        .add_int(static_cast<long long>(r.events));
   };
 
   const auto weighted = specs;  // all FC, already weighted

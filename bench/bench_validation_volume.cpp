@@ -8,23 +8,25 @@
 
 #include "common.hpp"
 #include "mbd/comm/world.hpp"
+#include "mbd/costmodel/volumes.hpp"
 #include "mbd/parallel/batch_parallel.hpp"
 #include "mbd/parallel/domain_parallel.hpp"
 #include "mbd/parallel/hybrid.hpp"
 #include "mbd/parallel/integrated.hpp"
 #include "mbd/parallel/mixed_grid.hpp"
 #include "mbd/parallel/model_parallel.hpp"
-#include "mbd/parallel/validation.hpp"
 #include "mbd/support/units.hpp"
 
 namespace {
 
 using namespace mbd;
+using costmodel::RankVolume;
+using costmodel::TrainerKind;
+using costmodel::trainer_total_volume;
 using parallel::GridShape;
-using parallel::TrafficPrediction;
 
-TrafficPrediction measure(int p,
-                          const std::function<void(comm::Comm&, std::size_t)>& fn) {
+RankVolume measure(int p,
+                   const std::function<void(comm::Comm&, std::size_t)>& fn) {
   auto run = [&](std::size_t iters) {
     comm::World world(p);
     world.run([&](comm::Comm& c) { fn(c, iters); });
@@ -32,7 +34,7 @@ TrafficPrediction measure(int p,
   };
   const auto s1 = run(1);
   const auto s3 = run(3);
-  TrafficPrediction t;
+  RankVolume t;
   t.allreduce_bytes =
       (s3[comm::Coll::AllReduce].bytes - s1[comm::Coll::AllReduce].bytes) / 2;
   t.allgather_bytes =
@@ -43,8 +45,7 @@ TrafficPrediction measure(int p,
 }
 
 void report(TextTable& t, const std::string& name,
-            const TrafficPrediction& measured,
-            const TrafficPrediction& predicted) {
+            const RankVolume& measured, const RankVolume& predicted) {
   auto row = [&](const char* what, std::uint64_t meas, std::uint64_t pred) {
     t.row()
         .add(name)
@@ -89,7 +90,9 @@ int main(int argc, char** argv) {
       c2.iterations = it;
       (void)parallel::train_batch_parallel(c, mlp, mlp_data, c2);
     });
-    report(t, "batch (Eq.4) P=4", meas, parallel::predict_batch_parallel(mlp, p));
+    report(t, "batch (Eq.4) P=4", meas,
+           trainer_total_volume(TrainerKind::BatchParallel, mlp, cfg.batch, 1,
+                                p));
   }
   {
     const int p = 6;
@@ -99,7 +102,8 @@ int main(int argc, char** argv) {
       (void)parallel::train_model_parallel(c, mlp, mlp_data, c2);
     });
     report(t, "model (Eq.3) P=6", meas,
-           parallel::predict_model_parallel(mlp, cfg.batch, p));
+           trainer_total_volume(TrainerKind::ModelParallel, mlp, cfg.batch, p,
+                                1));
   }
   {
     const GridShape grid{3, 4};
@@ -109,7 +113,8 @@ int main(int argc, char** argv) {
       (void)parallel::train_integrated_15d(c, grid, mlp, mlp_data, c2);
     });
     report(t, "1.5D (Eq.8) 3x4", meas,
-           parallel::predict_integrated_15d(mlp, cfg.batch, grid));
+           trainer_total_volume(TrainerKind::Integrated15D, mlp, cfg.batch,
+                                grid.pr, grid.pc));
   }
   {
     const int p = 4;
@@ -121,7 +126,8 @@ int main(int argc, char** argv) {
       (void)parallel::train_domain_parallel(c, cnn, cnn_data, c2);
     });
     report(t, "domain (Eq.7) P=4", meas,
-           parallel::predict_domain_parallel(cnn, c8.batch, p));
+           trainer_total_volume(TrainerKind::DomainParallel, cnn, c8.batch, p,
+                                1));
   }
   {
     const GridShape grid{2, 4};
@@ -133,7 +139,8 @@ int main(int argc, char** argv) {
       (void)parallel::train_hybrid(c, grid, cnn, cnn_data, c2);
     });
     report(t, "hybrid (Eq.9) 2x4", meas,
-           parallel::predict_hybrid(cnn, c8.batch, grid));
+           trainer_total_volume(TrainerKind::Hybrid, cnn, c8.batch, grid.pr,
+                                grid.pc));
   }
 
   {
@@ -151,7 +158,8 @@ int main(int argc, char** argv) {
       (void)parallel::train_mixed_grid(c, grid, pooled, pooled_data, c2);
     });
     report(t, "mixed (Fig.7 exec) 2x4", meas,
-           parallel::predict_mixed_grid(pooled, c8.batch, grid));
+           trainer_total_volume(TrainerKind::MixedGrid, pooled, c8.batch,
+                                grid.pr, grid.pc));
   }
 
   t.print(std::cout);

@@ -220,7 +220,10 @@ std::vector<Violation> check_handle_lifetimes(const ScheduleRecording& rec) {
           flush(b.c_str());
           break;
         }
-        default:
+        case ScheduleEventKind::Send:
+        case ScheduleEventKind::Recv:
+        case ScheduleEventKind::CollEnter:
+        case ScheduleEventKind::Compute:
           break;
       }
     }

@@ -205,9 +205,9 @@ class Comm {
   /// nonblocking-handle lifetimes to their epoch.
   void mark_engine_step(std::size_t iteration);
 
-  /// If the World is tracing, log `seconds` of modeled compute on this rank
-  /// at the current point in its event stream (no-op otherwise). Replay uses
-  /// these annotations to interleave compute with communication.
+  /// If the World records its schedule, log `seconds` of modeled compute on
+  /// this rank at the current point in its event stream (no-op otherwise).
+  /// Replay uses these annotations to interleave compute with communication.
   void annotate_compute(double seconds);
 
   /// Canonical block partition of n elements over P ranks: element range of

@@ -10,7 +10,6 @@
 #include "mbd/comm/mailbox.hpp"
 #include "mbd/comm/schedule_recorder.hpp"
 #include "mbd/comm/stats.hpp"
-#include "mbd/comm/trace.hpp"
 #include "mbd/comm/transport.hpp"
 #include "mbd/comm/validator.hpp"
 
@@ -36,12 +35,6 @@ struct Fabric {
   StatsCounters counters;
   std::atomic<bool> poisoned{false};
 
-  // Optional execution trace: allocated by World::enable_tracing(). Each
-  // rank appends only to its own event list; message ids come from the
-  // shared counter.
-  std::unique_ptr<Trace> trace;
-  std::atomic<std::uint64_t> next_msg_id{1};
-
   // Optional collective-call validator: allocated by
   // World::enable_validation() (default-on in Debug builds) strictly
   // before rank threads exist, so the plain pointer reads during a run
@@ -59,8 +52,6 @@ struct Fabric {
   // Shared so World::run_restartable can move it onto a fresh Fabric while
   // its cumulative event log survives.
   std::shared_ptr<FaultInjector> injector;
-
-  bool tracing() const { return trace != nullptr; }
 
   // Release/acquire pairing with the loads in Comm::send_bytes and
   // World::run: a rank that observes poisoned==true is guaranteed to also

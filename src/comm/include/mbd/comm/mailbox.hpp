@@ -35,7 +35,6 @@ struct Message {
   std::uint64_t context = 0;  ///< communicator context id
   int source = -1;            ///< global rank of sender
   int tag = 0;
-  std::uint64_t trace_id = 0;  ///< pairs Send/Recv trace events (0 = untraced)
   /// Per-channel (context, source, tag) sequence number, 1-based; 0 marks an
   /// unsequenced message (no fault injector installed). Sequenced messages
   /// are delivered strictly in order and duplicates are dropped on deposit —

@@ -5,15 +5,17 @@
 // (at consumption — for nonblocking collectives that is inside test()/wait(),
 // so the log *is* the post→wait ordering), collective entries (the same
 // CollectiveDesc the runtime validator rendezvous-matches, but kept instead
-// of discarded), nonblocking handle lifetimes, and engine-step boundaries.
+// of discarded), nonblocking handle lifetimes, engine-step boundaries, and
+// annotated compute intervals (Comm::annotate_compute).
 //
-// The recording is the comm layer's half of the contract with
-// mbd/analysis: this header defines only the event model and the log; all
-// checking (cross-rank matching, deadlock simulation, handle-lifetime and
-// traffic verification) lives in src/analysis. Like Trace and Validator, the
-// recording is allocated strictly before rank threads exist and each rank
-// appends only to its own log, so recording needs no synchronization beyond
-// the World join.
+// The recording is the comm layer's half of two contracts: with
+// mbd/analysis, which checks it (cross-rank matching, deadlock simulation,
+// handle-lifetime and traffic verification), and with
+// mbd::costmodel::replay_trace, which replays its Send/Recv/Compute events
+// under an α–β machine model. This header defines only the event model and
+// the log. Like the Validator, the recording is allocated strictly before
+// rank threads exist and each rank appends only to its own log, so
+// recording needs no synchronization beyond the World join.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,8 @@ namespace mbd::comm {
 /// What one schedule event is. Send/Recv are transport messages (collective
 /// rounds and user point-to-point alike); CollEnter is a collective-entry
 /// descriptor; NbPost/NbDone/NbCancel bracket a CollectiveHandle's lifetime;
-/// StepEnd is the engine's end-of-iteration marker.
+/// StepEnd is the engine's end-of-iteration marker; Compute is an annotated
+/// compute interval that only replay reads.
 enum class ScheduleEventKind : std::uint8_t {
   Send,
   Recv,
@@ -37,6 +40,7 @@ enum class ScheduleEventKind : std::uint8_t {
   NbDone,
   NbCancel,
   StepEnd,
+  Compute,
 };
 
 /// Human-readable name of a ScheduleEventKind value.
@@ -49,6 +53,7 @@ std::string_view schedule_event_kind_name(ScheduleEventKind k);
 ///   NbPost:    token, what
 ///   NbDone / NbCancel: token
 ///   StepEnd:   token (= engine iteration index)
+///   Compute:   seconds
 struct ScheduleEvent {
   ScheduleEventKind kind = ScheduleEventKind::Send;
   std::uint64_t context = 0;
@@ -60,6 +65,7 @@ struct ScheduleEvent {
   int comm_rank = -1;
   int comm_size = 0;
   std::uint64_t token = 0;
+  double seconds = 0.0;
   std::string what;
 
   /// One-line description for diagnostics ("send(to=3, tag=1, bytes=64)").

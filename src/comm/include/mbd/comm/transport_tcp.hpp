@@ -13,7 +13,7 @@
 // Frames are length-prefixed (u32 little-endian length, then a u8 type):
 //
 //   Hello        magic, version, world_size, sender rank
-//   Msg          epoch, context, source, tag, seq, trace_id, payload
+//   Msg          epoch, context, source, tag, seq, payload
 //   RetryRequest epoch, starving rank — "flush whatever your fault injector
 //                swallowed or deferred for me" (receiver-driven
 //                retransmission across processes)
@@ -64,7 +64,7 @@ enum class FrameType : std::uint8_t {
 /// "mbdW" — first field of a Hello; rejects strangers dialing the port.
 constexpr std::uint32_t kMagic = 0x6D626457;
 /// Bumped on any frame-layout change; Hello carries it.
-constexpr std::uint32_t kProtocolVersion = 1;
+constexpr std::uint32_t kProtocolVersion = 2;
 /// Ceiling on one frame's byte length; a larger length prefix means a
 /// corrupt or hostile stream and decoding throws instead of allocating.
 constexpr std::uint32_t kMaxFrameBytes = 1U << 30;
@@ -77,7 +77,7 @@ struct Frame {
                        ///< PeerFailure: failed rank
   int world_size = 0;  ///< Hello
   std::string what;    ///< PeerFailure: reason
-  Message msg;         ///< Msg (trace_id/seq/payload included)
+  Message msg;         ///< Msg (seq/payload included)
 };
 
 std::vector<std::byte> encode_hello(int rank, int world_size);

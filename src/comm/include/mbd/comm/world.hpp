@@ -107,7 +107,7 @@ class World {
   /// run(fn) with spare-promotion recovery — the cheap alternative to
   /// run_restartable: on a rank-attributed RankFailure the fabric is
   /// repaired *in place* (only the dead rank's mailbox state, plus transient
-  /// validator/recorder/trace state, is rebuilt; no fabric teardown), the
+  /// validator/recorder state, is rebuilt; no fabric teardown), the
   /// next spare participant is promoted into the dead slot via
   /// Transport::promote, and `fn` reruns. Survivors restore from their
   /// in-memory CheckpointStore exactly as under run_restartable. The
@@ -128,20 +128,12 @@ class World {
   StatsSnapshot stats() const;
   void reset_stats();
 
-  /// Start recording an execution trace (per-rank event logs); subsequent
-  /// run() calls append to it. See mbd/comm/trace.hpp.
-  void enable_tracing();
-  /// The recorded trace; empty per-rank logs if tracing was never enabled.
-  /// Only call between run()s (rank threads append concurrently during one).
-  const Trace& trace() const;
-  /// Clear the recorded events (tracing stays enabled).
-  void reset_trace();
-
   /// Start recording the full per-rank communication schedule (message
   /// sends/receives, collective-entry descriptors, nonblocking handle
-  /// lifetimes, engine-step markers); subsequent run() calls append to it.
-  /// This is the extraction substrate of the static schedule analyzer
-  /// (mbd/analysis). See mbd/comm/schedule_recorder.hpp.
+  /// lifetimes, engine-step markers, annotated compute); subsequent run()
+  /// calls append to it. This is the extraction substrate of the static
+  /// schedule analyzer (mbd/analysis) and the input of trace-driven replay
+  /// (mbd/costmodel/replay.hpp). See mbd/comm/schedule_recorder.hpp.
   void enable_schedule_recording();
   /// The recorded schedule; empty per-rank logs if recording was never
   /// enabled. Only call between run()s (rank threads append during one).

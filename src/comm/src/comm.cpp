@@ -96,12 +96,6 @@ void Comm::send_bytes(int dst, std::span<const std::byte> data, int tag,
   msg.source = gme;
   msg.tag = tag;
   msg.payload.assign(data.begin(), data.end());
-  if (fabric_->tracing()) {
-    msg.trace_id =
-        fabric_->next_msg_id.fetch_add(1, std::memory_order_relaxed);
-    fabric_->trace->ranks[static_cast<std::size_t>(msg.source)].push_back(
-        {TraceEvent::Kind::Send, gdst, data.size(), msg.trace_id, 0.0});
-  }
   if (fi != nullptr) {
     msg.seq = fi->assign_seq(context_, gme, gdst, tag);
     if (reserved_op != 0) {
@@ -168,10 +162,6 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag, bool counted) {
     msg = fabric_->mailboxes[static_cast<std::size_t>(gme)].pop(context_, gsrc,
                                                                 tag);
   }
-  if (fabric_->tracing() && msg.trace_id != 0) {
-    fabric_->trace->ranks[static_cast<std::size_t>(gme)].push_back(
-        {TraceEvent::Kind::Recv, gsrc, msg.payload.size(), msg.trace_id, 0.0});
-  }
   record_recv(gme, gsrc, tag, msg.payload.size());
   return std::move(msg.payload);
 }
@@ -206,10 +196,6 @@ bool Comm::try_recv_bytes(int src, int tag, std::vector<std::byte>& out) {
                                                                  gsrc, tag,
                                                                  msg)) {
     return false;
-  }
-  if (fabric_->tracing() && msg.trace_id != 0) {
-    fabric_->trace->ranks[static_cast<std::size_t>(gme)].push_back(
-        {TraceEvent::Kind::Recv, gsrc, msg.payload.size(), msg.trace_id, 0.0});
   }
   record_recv(gme, gsrc, tag, msg.payload.size());
   out = std::move(msg.payload);
@@ -257,9 +243,13 @@ CollectiveHandle Comm::make_handle(std::unique_ptr<detail::PendingOp> op,
 
 void Comm::annotate_compute(double seconds) {
   MBD_CHECK(seconds >= 0.0);
-  if (!fabric_->tracing()) return;
-  fabric_->trace->ranks[static_cast<std::size_t>(global_rank(rank_))]
-      .push_back({TraceEvent::Kind::Compute, -1, 0, 0, seconds});
+  if (ScheduleRecording* rec = fabric_->recorder.get()) {
+    ScheduleEvent ev;
+    ev.kind = ScheduleEventKind::Compute;
+    ev.seconds = seconds;
+    rec->ranks[static_cast<std::size_t>(global_rank(rank_))]
+        .events.push_back(std::move(ev));
+  }
 }
 
 void Comm::barrier() {

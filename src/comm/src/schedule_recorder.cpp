@@ -13,6 +13,7 @@ std::string_view schedule_event_kind_name(ScheduleEventKind k) {
     case ScheduleEventKind::NbDone: return "nb_done";
     case ScheduleEventKind::NbCancel: return "nb_cancel";
     case ScheduleEventKind::StepEnd: return "step_end";
+    case ScheduleEventKind::Compute: return "compute";
   }
   return "?";
 }
@@ -43,6 +44,9 @@ std::string ScheduleEvent::describe() const {
       break;
     case ScheduleEventKind::StepEnd:
       os << "step_end(iteration=" << token << ')';
+      break;
+    case ScheduleEventKind::Compute:
+      os << "compute(seconds=" << seconds << ')';
       break;
   }
   return os.str();

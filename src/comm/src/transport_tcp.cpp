@@ -101,13 +101,12 @@ std::vector<std::byte> encode_hello(int rank, int world_size) {
 
 std::vector<std::byte> encode_message(int epoch, const Message& msg) {
   auto out = begin_frame(FrameType::Msg);
-  out.reserve(out.size() + 36 + msg.payload.size());
+  out.reserve(out.size() + 28 + msg.payload.size());
   put_i32(out, epoch);
   put_u64(out, msg.context);
   put_i32(out, msg.source);
   put_i32(out, msg.tag);
   put_u64(out, msg.seq);
-  put_u64(out, msg.trace_id);
   out.insert(out.end(), msg.payload.begin(), msg.payload.end());
   return end_frame(std::move(out));
 }
@@ -175,7 +174,6 @@ std::optional<Frame> FrameDecoder::next() {
       f.msg.source = c.i32();
       f.msg.tag = c.i32();
       f.msg.seq = c.u64();
-      f.msg.trace_id = c.u64();
       f.msg.payload.assign(c.p, c.p + c.n);
       break;
     }

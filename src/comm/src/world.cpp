@@ -229,7 +229,7 @@ void World::repair_fabric_in_place(int next_epoch) {
   // no fabric teardown happens. Only the per-rank mailbox state (reset to a
   // fresh epoch for every slot — the dead rank's queued frames vanish, the
   // survivors' sequence cursors restart at 1) and the transient
-  // validator/trace/recorder state are rebuilt. Survivors keep their
+  // validator/recorder state are rebuilt. Survivors keep their
   // process, threads-to-be, transport connections, and injector; the
   // promoted spare simply occupies the dead slot next run.
   const bool prof = obs::profiling_enabled();
@@ -243,12 +243,8 @@ void World::repair_fabric_in_place(int next_epoch) {
   fabric_->transport->begin_epoch(next_epoch);
   for (auto& mb : fabric_->mailboxes) mb.reset();
   fabric_->poisoned.store(false, std::memory_order_release);
-  fabric_->next_msg_id.store(1, std::memory_order_relaxed);
   fabric_->counters.reset();
   if (fabric_->validator) fabric_->validator->reset_transient();
-  if (fabric_->trace) {
-    for (auto& r : fabric_->trace->ranks) r.clear();
-  }
   if (fabric_->recorder) {
     for (auto& r : fabric_->recorder->ranks) {
       r.events.clear();
@@ -280,11 +276,6 @@ void World::rebuild_fabric(int next_epoch) {
     fresh->validator = std::make_unique<Validator>(size_);
     fresh->validator->adopt_settings(*fabric_->validator);
   }
-  if (fabric_->trace) {
-    auto t = std::make_unique<Trace>();
-    t->ranks.resize(static_cast<std::size_t>(size_));
-    fresh->trace = std::move(t);
-  }
   if (fabric_->recorder) {
     fresh->recorder = std::make_unique<ScheduleRecording>(size_);
   }
@@ -307,23 +298,6 @@ FaultInjector* World::fault_injector() const {
 StatsSnapshot World::stats() const { return fabric_->counters.snapshot(); }
 
 void World::reset_stats() { fabric_->counters.reset(); }
-
-void World::enable_tracing() {
-  if (fabric_->trace) return;
-  auto t = std::make_unique<Trace>();
-  t->ranks.resize(static_cast<std::size_t>(size_));
-  fabric_->trace = std::move(t);
-}
-
-const Trace& World::trace() const {
-  static const Trace kEmpty{};
-  return fabric_->trace ? *fabric_->trace : kEmpty;
-}
-
-void World::reset_trace() {
-  if (!fabric_->trace) return;
-  for (auto& r : fabric_->trace->ranks) r.clear();
-}
 
 void World::enable_schedule_recording() {
   if (fabric_->recorder) return;

@@ -3,7 +3,8 @@
 //
 // The closed-form costs (strategy.hpp) charge each collective its textbook
 // complexity; replay instead walks the *actual* per-rank event schedule a
-// run produced (mbd::comm tracing) and advances per-rank clocks:
+// run produced (World::enable_schedule_recording, see
+// mbd/comm/schedule_recorder.hpp) and advances per-rank clocks:
 //
 //   Send    — the sender is busy α + β·bytes, after which the message is
 //             available to the receiver (store-and-forward, LogGP-flavoured;
@@ -11,6 +12,14 @@
 //   Recv    — the receiver waits until max(own clock, message availability),
 //             then pays α for the matching overhead;
 //   Compute — the rank is busy for the annotated seconds.
+//
+// CollEnter, NbPost/NbDone/NbCancel and StepEnd events cost nothing and are
+// skipped. A Recv is paired with its Send by per-channel FIFO on (context,
+// source, destination, tag): the k-th Recv on a channel consumes the k-th
+// Send on it. That is exactly how Mailbox::pop matches messages (FIFO per
+// (context, source, tag), kept in order by sequence numbers under fault
+// injection), so the pairing needs no message ids and holds for schedules
+// recorded in separate processes alike.
 //
 // Under store-and-forward every byte consumes endpoint busy-time, so two
 // schedules with the same events always replay to the same busy totals and
@@ -30,7 +39,7 @@
 
 #include <vector>
 
-#include "mbd/comm/trace.hpp"
+#include "mbd/comm/schedule_recorder.hpp"
 #include "mbd/costmodel/machine.hpp"
 
 namespace mbd::costmodel {
@@ -43,6 +52,8 @@ struct ReplayResult {
   double total_send_busy = 0.0;     ///< Σ α + β·bytes over all sends
   /// Σ time ranks spent blocked in Recv waiting for data.
   double total_recv_wait = 0.0;
+  /// Send, Recv and Compute events replayed (other kinds are skipped).
+  std::size_t events = 0;
 };
 
 /// Transport semantics for replay.
@@ -55,9 +66,9 @@ struct ReplayOptions {
 };
 
 /// Replay `trace` under machine `m`. Throws mbd::Error if the trace is
-/// inconsistent (a Recv whose Send never appears — cannot happen for traces
-/// recorded from a completed run).
-ReplayResult replay_trace(const comm::Trace& trace, const MachineModel& m,
-                          ReplayOptions opts = {});
+/// inconsistent (a Recv whose Send never appears — cannot happen for
+/// schedules recorded from a completed run).
+ReplayResult replay_trace(const comm::ScheduleRecording& trace,
+                          const MachineModel& m, ReplayOptions opts = {});
 
 }  // namespace mbd::costmodel

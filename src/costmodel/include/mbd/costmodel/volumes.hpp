@@ -1,16 +1,25 @@
-// Per-rank traffic volumes of the six distributed trainers, in closed form.
+// Exact per-iteration traffic of the seven distributed trainers, in closed
+// form.
 //
-// mbd/parallel/validation.hpp predicts each trainer's per-iteration bytes
-// *summed over all ranks*; these functions refine that to the exact bytes
-// *one* rank sends per iteration, per traffic class. The refinement matters
-// because the implemented algorithms are rank-asymmetric: the ring
-// all-reduce's uneven ⌊n·b/p⌋ blocks and the ring all-gatherv's uneven
-// origin blocks give different ranks different send volumes, even though
-// the totals stay closed form.
+// These are not the α–β *time* model (strategy.hpp) but exact byte counts
+// of what the implemented collectives move per SGD iteration. Comparing
+// them against mbd::comm's instrumented counters is the strongest form of
+// validation this project does: the paper's bandwidth terms (Eqs. 3, 4, 7,
+// 8) are per-process word counts of exactly these collectives, so measured
+// == predicted certifies the formulas against running code.
+//
+// trainer_rank_volume gives the bytes *one* rank sends; trainer_total_volume
+// sums it over every rank of the grid. The per-rank form matters because
+// the implemented algorithms are rank-asymmetric: the ring all-reduce's
+// uneven ⌊n·b/p⌋ blocks and the ring all-gatherv's uneven origin blocks
+// give different ranks different send volumes, even though the totals stay
+// closed form.
 //
 // These are the reference the static schedule analyzer (mbd/analysis)
 // compares extracted schedules against byte-for-byte: analyzer-summed Send
-// events per rank per iteration must equal trainer_rank_volume exactly.
+// events per rank per iteration must equal trainer_rank_volume exactly. The
+// measured-counter tests compare trainer_total_volume with the fabric's
+// per-iteration byte deltas.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +46,7 @@ enum class TrainerKind {
 /// "hybrid", "mixed", "pipeline") used in reports and CLI arguments.
 std::string_view trainer_kind_name(TrainerKind k);
 
-/// Bytes one rank sends per SGD iteration, by traffic class.
+/// Bytes sent per SGD iteration (by one rank, or by all), by traffic class.
 struct RankVolume {
   std::uint64_t allreduce_bytes = 0;
   std::uint64_t allgather_bytes = 0;
@@ -80,7 +89,8 @@ std::uint64_t allreduce_ring_send_words(int p, std::size_t n, int rank);
 /// all-gatherv otherwise, conv stacks halo-exchange and all-reduce per
 /// layer, and the mixed grid pays the Eq. 6 redistribution all-gatherv.
 /// Setup traffic (communicator splits, final parameter assembly) and the
-/// loss reduction are excluded, matching validation.hpp's conventions.
+/// loss reduction are excluded; tests measure per-iteration deltas of the
+/// fabric's counters to factor them out.
 ///
 /// The 1F1B pipeline trainer runs on p = pr·pc ranks as a linear chain of
 /// layer groups (MLP only). Its per-iteration point-to-point volume is
@@ -92,5 +102,11 @@ std::uint64_t allreduce_ring_send_words(int p, std::size_t n, int rank);
 RankVolume trainer_rank_volume(TrainerKind kind,
                                const std::vector<nn::LayerSpec>& specs,
                                std::size_t batch, int pr, int pc, int rank);
+
+/// Bytes all pr·pc ranks together send per iteration: the sum of
+/// trainer_rank_volume over every rank, by traffic class.
+RankVolume trainer_total_volume(TrainerKind kind,
+                                const std::vector<nn::LayerSpec>& specs,
+                                std::size_t batch, int pr, int pc);
 
 }  // namespace mbd::costmodel

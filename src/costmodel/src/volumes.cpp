@@ -302,4 +302,14 @@ RankVolume trainer_rank_volume(TrainerKind kind,
   return {};
 }
 
+RankVolume trainer_total_volume(TrainerKind kind,
+                                const std::vector<nn::LayerSpec>& specs,
+                                std::size_t batch, int pr, int pc) {
+  RankVolume total;
+  for (int r = 0; r < pr * pc; ++r) {
+    total += trainer_rank_volume(kind, specs, batch, pr, pc, r);
+  }
+  return total;
+}
+
 }  // namespace mbd::costmodel

@@ -16,7 +16,6 @@
 #include "mbd/comm/nonblocking.hpp"
 #include "mbd/comm/schedule_recorder.hpp"
 #include "mbd/comm/stats.hpp"
-#include "mbd/comm/trace.hpp"
 #include "mbd/comm/world.hpp"
 
 // tensor: matrices, gemm, NCHW tensors
@@ -63,7 +62,6 @@
 #include "mbd/parallel/mixed_grid.hpp"
 #include "mbd/parallel/model_parallel.hpp"
 #include "mbd/parallel/summa.hpp"
-#include "mbd/parallel/validation.hpp"
 
 // serve: forward-only execution and the request gateway
 #include "mbd/serve/gateway.hpp"

@@ -15,8 +15,8 @@
 // all-reduces are issued as nonblocking collectives (mbd/comm/nonblocking.hpp)
 // and drained behind the remaining layers' GEMMs; ∆X all-reduces hide behind
 // the same layer's ∆W GEMM. The nonblocking ring runs the identical schedule
-// as the blocking one, so byte counts (validation.hpp) and numerics match the
-// blocking mode bit for bit.
+// as the blocking one, so byte counts (costmodel/volumes.hpp) and numerics
+// match the blocking mode bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +44,8 @@ struct StepContext {
   comm::Comm* world = nullptr;   ///< the full communicator
   ReduceMode mode = ReduceMode::Blocking;
   /// When > 0, stages log `flops * seconds_per_flop` of modeled compute into
-  /// the trace (Comm::annotate_compute) so replay can measure how much
-  /// communication the overlapped schedule actually hides.
+  /// the schedule recording (Comm::annotate_compute) so replay can measure
+  /// how much communication the overlapped schedule actually hides.
   double seconds_per_flop = 0.0;
   /// Which microbatch the current tick operates on, and how many the
   /// iteration's schedule program runs. Degenerate (whole-minibatch)

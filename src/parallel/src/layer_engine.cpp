@@ -328,9 +328,11 @@ SlabScatterStage::SlabScatterStage(std::size_t in_c, std::size_t in_h,
     : in_c_(in_c), in_h_(in_h), in_w_(in_w), rows_(rows) {}
 
 Flow SlabScatterStage::forward(Flow in, const StepContext& /*ctx*/) {
-  Tensor4 full(in.as_matrix().cols(), in_c_, in_h_, in_w_);
-  tensor::columns_to_nchw(in.as_matrix(), full);
-  return Flow::from_tensor(full.height_slab(rows_.lo, rows_.hi));
+  const Matrix& x = in.as_matrix();
+  MBD_CHECK_EQ(x.rows(), in_c_ * in_h_ * in_w_);
+  Tensor4 slab(x.cols(), in_c_, rows_.size(), in_w_);
+  tensor::columns_to_nchw(x, slab, rows_.lo);
+  return Flow::from_tensor(std::move(slab));
 }
 
 Flow SlabScatterStage::backward(Flow /*grad*/, const StepContext& /*ctx*/,
@@ -352,9 +354,11 @@ Flow SlabGatherStage::forward(Flow in, const StepContext& /*ctx*/) {
 
 Flow SlabGatherStage::backward(Flow grad, const StepContext& /*ctx*/,
                                GradReducer& /*red*/) {
-  Tensor4 full(grad.as_matrix().cols(), out_c_, img_h_, img_w_);
-  tensor::columns_to_nchw(grad.as_matrix(), full);
-  return Flow::from_tensor(full.height_slab(rows_.lo, rows_.hi));
+  const Matrix& dy = grad.as_matrix();
+  MBD_CHECK_EQ(dy.rows(), out_c_ * img_h_ * img_w_);
+  Tensor4 dslab(dy.cols(), out_c_, rows_.size(), img_w_);
+  tensor::columns_to_nchw(dy, dslab, rows_.lo);
+  return Flow::from_tensor(std::move(dslab));
 }
 
 // ---------------------------------------------------------------------------

@@ -71,8 +71,11 @@ class Tensor4 {
 };
 
 /// The paper's d × B layout (one CHW column per sample, d = c·h·w) to NCHW
-/// and back. `t` supplies the shape: B × c × h × w.
-void columns_to_nchw(const Matrix& m, Tensor4& t);
+/// and back. `t` supplies the shape: B × c × h × w. columns_to_nchw may also
+/// fill `t` with only the image rows [h_lo, h_lo + t.h()) of taller columns
+/// (m.rows() = c·H·w for some H ≥ h_lo + t.h()): the height slab of Fig. 3,
+/// transposed without materializing the rest of the image.
+void columns_to_nchw(const Matrix& m, Tensor4& t, std::size_t h_lo = 0);
 void nchw_to_columns(const Tensor4& t, Matrix& m);
 
 /// max |a-b| over all elements; shapes must match.

@@ -56,15 +56,26 @@ constexpr std::size_t kTransposeRows = 64;
 
 }  // namespace
 
-void columns_to_nchw(const Matrix& m, Tensor4& t) {
-  const std::size_t d = t.c() * t.h() * t.w(), batch = t.n();
-  MBD_CHECK_EQ(m.rows(), d);
+void columns_to_nchw(const Matrix& m, Tensor4& t, std::size_t h_lo) {
+  const std::size_t plane = t.h() * t.w(), d = t.c() * plane, batch = t.n();
   MBD_CHECK_EQ(m.cols(), batch);
-  for (std::size_t i0 = 0; i0 < d; i0 += kTransposeRows) {
-    const std::size_t i1 = std::min(d, i0 + kTransposeRows);
-    for (std::size_t b = 0; b < batch; ++b)
-      for (std::size_t i = i0; i < i1; ++i)
-        t.data()[b * d + i] = m.data()[i * batch + b];
+  MBD_CHECK_GT(t.c() * t.w(), 0u);
+  MBD_CHECK_EQ(m.rows() % (t.c() * t.w()), 0u);
+  const std::size_t full_plane = m.rows() / t.c();  // H·w
+  MBD_CHECK_LE(h_lo * t.w() + plane, full_plane);
+  // The slab's rows of m are one run of `plane` rows per channel, at stride
+  // full_plane; a full-height slab is a single run of all d rows.
+  const bool whole = plane == full_plane;
+  const std::size_t runs = whole ? 1 : t.c(), run = whole ? d : plane;
+  for (std::size_t r = 0; r < runs; ++r) {
+    const float* src = m.data() + (r * full_plane + h_lo * t.w()) * batch;
+    float* dst = t.data() + r * run;
+    for (std::size_t i0 = 0; i0 < run; i0 += kTransposeRows) {
+      const std::size_t i1 = std::min(run, i0 + kTransposeRows);
+      for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t i = i0; i < i1; ++i)
+          dst[b * d + i] = src[i * batch + b];
+    }
   }
 }
 

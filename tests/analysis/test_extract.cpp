@@ -10,7 +10,9 @@
 
 #include "mbd/analysis/schedule_checks.hpp"
 #include "mbd/comm/schedule_recorder.hpp"
+#include "mbd/comm/world.hpp"
 #include "mbd/nn/models.hpp"
+#include "mbd/parallel/integrated.hpp"
 
 namespace mbd::analysis {
 namespace {
@@ -134,6 +136,57 @@ TEST(Extract, TamperedScheduleFailsTheTrafficCheck) {
   ASSERT_FALSE(v.empty());
   EXPECT_EQ(v[0].kind, ViolationKind::TrafficMismatch);
   EXPECT_EQ(v[0].rank, 0);
+}
+
+/// Records an Overlapped 1.5D run on a 2×2 grid with compute annotated at
+/// `seconds_per_flop` (0 records no Compute events).
+comm::ScheduleRecording record_integrated(double seconds_per_flop) {
+  const AnalyzerConfig cfg = make_config(TrainerKind::Integrated15D, {2, 2},
+                                         ReduceMode::Overlapped);
+  const nn::Dataset data = nn::make_synthetic_dataset(
+      cfg.specs.front().d_in(), cfg.specs.back().d_out(), cfg.batch, 3);
+  nn::TrainConfig tc;
+  tc.batch = cfg.batch;
+  tc.iterations = cfg.iterations;
+  comm::World world(4);
+  world.enable_schedule_recording();
+  world.run([&](comm::Comm& c) {
+    (void)parallel::train_integrated_15d(c, cfg.grid, cfg.specs, data, tc,
+                                         cfg.seed, cfg.mode, seconds_per_flop);
+  });
+  return world.schedule_recording();
+}
+
+TEST(Extract, ComputeEventsAreInvisibleToTheChecks) {
+  // Annotated compute lands in the same log the analyzer reads; every check
+  // must pass with it as without it, and the Send bytes must not move.
+  const AnalyzerConfig cfg = make_config(TrainerKind::Integrated15D, {2, 2},
+                                         ReduceMode::Overlapped);
+  const TrafficExpectation expect = expectation_for(cfg);
+  const comm::ScheduleRecording timed = record_integrated(1e-7);
+  const comm::ScheduleRecording bare = record_integrated(0.0);
+  std::size_t computes = 0;
+  for (const auto& rank : timed.ranks)
+    for (const auto& ev : rank.events) {
+      if (ev.kind == comm::ScheduleEventKind::Compute) ++computes;
+    }
+  EXPECT_GT(computes, 0u);
+  EXPECT_EQ(timed.total_events(), bare.total_events() + computes);
+  for (const auto* rec : {&timed, &bare}) {
+    const auto v = run_all_checks(*rec, &expect);
+    EXPECT_TRUE(v.empty()) << describe_all(v);
+  }
+  const auto sent_bytes = [](const comm::ScheduleRecording& rec, int r) {
+    std::uint64_t n = 0;
+    for (const auto& ev : rec.ranks[static_cast<std::size_t>(r)].events) {
+      if (ev.kind == comm::ScheduleEventKind::Send) n += ev.bytes;
+    }
+    return n;
+  };
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_GT(sent_bytes(timed, r), 0u) << "rank " << r;
+    EXPECT_EQ(sent_bytes(timed, r), sent_bytes(bare, r)) << "rank " << r;
+  }
 }
 
 TEST(Extract, ExpectationMatchesConfig) {

@@ -34,7 +34,6 @@ Message make_msg(std::uint64_t context, int source, int tag,
   m.context = context;
   m.source = source;
   m.tag = tag;
-  m.trace_id = 77;
   m.seq = 5;
   m.payload.resize(payload_bytes);
   for (std::size_t i = 0; i < payload_bytes; ++i)
@@ -84,7 +83,6 @@ TEST(TcpFraming, AllFrameTypesRoundTripUnderAnyChunking) {
     EXPECT_EQ(frames[1].msg.context, 0xfeedu);
     EXPECT_EQ(frames[1].msg.source, 1);
     EXPECT_EQ(frames[1].msg.tag, 42);
-    EXPECT_EQ(frames[1].msg.trace_id, 77u);
     EXPECT_EQ(frames[1].msg.seq, 5u);
     EXPECT_EQ(frames[1].msg.payload, make_msg(0xfeed, 1, 42, 10).payload);
 
@@ -109,6 +107,30 @@ TEST(TcpFraming, EmptyAndLargePayloads) {
     const auto f = dec.next();
     ASSERT_TRUE(f.has_value());
     EXPECT_EQ(f->msg.payload, m.payload);
+  }
+}
+
+TEST(TcpFraming, RejectsHelloWithWrongMagicOrVersion) {
+  // Hello body: u8 type at offset 4, u32 magic at 5, u32 version at 9. A
+  // peer speaking protocol version 1 (whose Msg frames carried an extra
+  // 8-byte field) or a stranger with the wrong magic must be refused at
+  // the handshake, before any Msg frame is misparsed.
+  const auto patched = [](std::size_t offset, std::uint32_t value) {
+    auto enc = wire::encode_hello(1, 4);
+    std::memcpy(enc.data() + offset, &value, 4);
+    return enc;
+  };
+  {
+    FrameDecoder dec;
+    dec.feed(wire::encode_hello(1, 4));
+    const auto f = dec.next();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->type, FrameType::Hello);
+  }
+  for (const auto& bad : {patched(9, 1), patched(5, wire::kMagic ^ 1U)}) {
+    FrameDecoder dec;
+    dec.feed(bad);
+    EXPECT_THROW((void)dec.next(), ::mbd::Error);
   }
 }
 

@@ -1,39 +1,26 @@
-// Per-rank volume closed forms must refine the all-rank totals exactly:
-// summing costmodel::trainer_rank_volume over every rank of the grid has to
-// reproduce mbd/parallel/validation.hpp's predictions byte-for-byte, per
-// traffic class, for all six trainers. The per-rank forms are what the
-// static schedule analyzer checks recorded schedules against, so this test
-// pins them to the already-certified totals.
+// The per-rank volume closed forms, checked against independent facts: the
+// collectives' per-rank send words sum to their known totals, and the 1.5D
+// trainer's volumes reduce rank by rank to the pure batch- and
+// model-parallel ones at the grid edges (Eq. 8 → Eq. 4 and Eq. 8 → Eq. 3).
+// The measured-counter tests (tests/parallel/test_validation.cpp) and the
+// schedule analyzer pin the same forms to bytes the fabric actually moved.
 #include "mbd/costmodel/volumes.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mbd/nn/models.hpp"
-#include "mbd/parallel/validation.hpp"
 
 namespace mbd::costmodel {
 namespace {
 
-RankVolume sum_over_ranks(TrainerKind kind,
-                          const std::vector<nn::LayerSpec>& specs,
-                          std::size_t batch, int pr, int pc) {
-  RankVolume total;
-  for (int r = 0; r < pr * pc; ++r) {
-    total += trainer_rank_volume(kind, specs, batch, pr, pc, r);
-  }
-  return total;
-}
-
-std::vector<nn::LayerSpec> conv_net() {
-  std::vector<nn::LayerSpec> specs;
-  specs.push_back(nn::conv_spec("conv1", 2, 8, 8, 4, 3, 1, 1));
-  specs.push_back(nn::conv_spec("conv2", 4, 8, 8, 4, 3, 1, 1));
-  specs.push_back(nn::fc_spec("fc1", 4 * 8 * 8, 16));
-  specs.push_back(nn::fc_spec("fc2", 16, 8, false));
-  return specs;
+void expect_equal(const RankVolume& a, const RankVolume& b) {
+  EXPECT_EQ(a.allreduce_bytes, b.allreduce_bytes);
+  EXPECT_EQ(a.allgather_bytes, b.allgather_bytes);
+  EXPECT_EQ(a.p2p_bytes, b.p2p_bytes);
 }
 
 TEST(Volumes, BruckSendWordsSumToAllGatherTotal) {
@@ -71,92 +58,36 @@ TEST(Volumes, RingAllReduceSendWordsSumToTotal) {
   }
 }
 
-TEST(Volumes, BatchParallelRanksSumToPrediction) {
-  const auto specs = nn::mlp_spec({12, 16, 4});
-  for (int p : {2, 3, 4, 8}) {
-    const auto per_rank = sum_over_ranks(TrainerKind::BatchParallel, specs,
-                                         /*batch=*/16, /*pr=*/1, p);
-    const auto total = parallel::predict_batch_parallel(specs, p);
-    EXPECT_EQ(per_rank.allreduce_bytes, total.allreduce_bytes) << "p=" << p;
-    EXPECT_EQ(per_rank.allgather_bytes, 0u) << "p=" << p;
-    EXPECT_EQ(per_rank.p2p_bytes, 0u) << "p=" << p;
-  }
-}
-
-TEST(Volumes, ModelParallelRanksSumToPrediction) {
-  const auto specs = nn::mlp_spec({10, 24, 12, 6});
-  const std::size_t batch = 12;
-  for (int p : {2, 3, 6}) {  // p=3: 24/3 even but 10 and 12 stress ringv
-    const auto per_rank =
-        sum_over_ranks(TrainerKind::ModelParallel, specs, batch, p, 1);
-    const auto total = parallel::predict_model_parallel(specs, batch, p);
-    EXPECT_EQ(per_rank.allgather_bytes, total.allgather_bytes) << "p=" << p;
-    EXPECT_EQ(per_rank.allreduce_bytes, total.allreduce_bytes) << "p=" << p;
-    EXPECT_EQ(per_rank.p2p_bytes, 0u) << "p=" << p;
-  }
-}
-
-TEST(Volumes, Integrated15DRanksSumToPrediction) {
-  const auto specs = nn::mlp_spec({10, 24, 12, 12});
-  const std::size_t batch = 16;
-  for (const auto [pr, pc] : {std::pair{2, 2}, std::pair{3, 2},
-                              std::pair{2, 4}, std::pair{4, 2},
-                              std::pair{5, 3}}) {  // uneven rows AND columns
-    const auto per_rank =
-        sum_over_ranks(TrainerKind::Integrated15D, specs, batch, pr, pc);
-    const auto total =
-        parallel::predict_integrated_15d(specs, batch, {pr, pc});
-    EXPECT_EQ(per_rank.allgather_bytes, total.allgather_bytes)
-        << "grid " << pr << "x" << pc;
-    EXPECT_EQ(per_rank.allreduce_bytes, total.allreduce_bytes)
-        << "grid " << pr << "x" << pc;
-  }
-}
-
-TEST(Volumes, DomainParallelRanksSumToPrediction) {
-  const auto specs = conv_net();
-  const std::size_t batch = 8;
-  for (int p : {2, 3, 4, 8}) {  // p=3: uneven slabs, all-gatherv transition
-    const auto per_rank =
-        sum_over_ranks(TrainerKind::DomainParallel, specs, batch, p, 1);
-    const auto total = parallel::predict_domain_parallel(specs, batch, p);
-    EXPECT_EQ(per_rank.p2p_bytes, total.p2p_bytes) << "p=" << p;
-    EXPECT_EQ(per_rank.allgather_bytes, total.allgather_bytes) << "p=" << p;
-    EXPECT_EQ(per_rank.allreduce_bytes, total.allreduce_bytes) << "p=" << p;
-  }
-}
-
-TEST(Volumes, HybridRanksSumToPrediction) {
-  const auto specs = conv_net();
-  const std::size_t batch = 8;
-  for (const auto [pr, pc] :
-       {std::pair{2, 2}, std::pair{4, 2}, std::pair{2, 4}}) {
-    const auto per_rank =
-        sum_over_ranks(TrainerKind::Hybrid, specs, batch, pr, pc);
-    const auto total = parallel::predict_hybrid(specs, batch, {pr, pc});
-    EXPECT_EQ(per_rank.p2p_bytes, total.p2p_bytes)
-        << "grid " << pr << "x" << pc;
-    EXPECT_EQ(per_rank.allgather_bytes, total.allgather_bytes)
-        << "grid " << pr << "x" << pc;
-    EXPECT_EQ(per_rank.allreduce_bytes, total.allreduce_bytes)
-        << "grid " << pr << "x" << pc;
-  }
-}
-
-TEST(Volumes, MixedGridRanksSumToPrediction) {
-  const auto specs = nn::small_cnn_spec(2, 8, 8);
-  const std::size_t batch = 16;
-  for (const auto [pr, pc] : {std::pair{2, 2}, std::pair{3, 2},
-                              std::pair{2, 4}, std::pair{4, 2}}) {
-    const auto per_rank =
-        sum_over_ranks(TrainerKind::MixedGrid, specs, batch, pr, pc);
-    const auto total = parallel::predict_mixed_grid(specs, batch, {pr, pc});
-    EXPECT_EQ(per_rank.p2p_bytes, total.p2p_bytes)
-        << "grid " << pr << "x" << pc;
-    EXPECT_EQ(per_rank.allgather_bytes, total.allgather_bytes)
-        << "grid " << pr << "x" << pc;
-    EXPECT_EQ(per_rank.allreduce_bytes, total.allreduce_bytes)
-        << "grid " << pr << "x" << pc;
+TEST(Volumes, Integrated15DGridEdgesAreBatchAndModelParallel) {
+  // Eq. 8 degenerates to Eq. 4 on a 1 × P grid (no model split: only the
+  // ∆W all-reduce over all P is left) and to Eq. 3 on a P × 1 grid (no
+  // batch split: the Y all-gather and ∆X all-reduce over all P). The
+  // identities hold rank by rank, uneven blocks included, because an FC
+  // layer's weight_count() is exactly fc_in·fc_out.
+  const std::vector<std::vector<nn::LayerSpec>> nets = {
+      nn::mlp_spec({10, 24, 12, 12}),  // d_out divisible by 2, 3, 4
+      nn::mlp_spec({10, 19, 7, 13}),   // d_out divisible by none of P
+  };
+  for (const auto& specs : nets) {
+    for (const std::size_t batch : {std::size_t{16}, std::size_t{11}}) {
+      for (const int p : {2, 3, 4, 8}) {
+        for (int r = 0; r < p; ++r) {
+          SCOPED_TRACE("d_out " + std::to_string(specs[0].fc_out) +
+                       " batch " + std::to_string(batch) + " p " +
+                       std::to_string(p) + " rank " + std::to_string(r));
+          expect_equal(
+              trainer_rank_volume(TrainerKind::Integrated15D, specs, batch,
+                                  1, p, r),
+              trainer_rank_volume(TrainerKind::BatchParallel, specs, batch,
+                                  1, p, r));
+          expect_equal(
+              trainer_rank_volume(TrainerKind::Integrated15D, specs, batch,
+                                  p, 1, r),
+              trainer_rank_volume(TrainerKind::ModelParallel, specs, batch,
+                                  p, 1, r));
+        }
+      }
+    }
   }
 }
 

@@ -22,7 +22,8 @@ TEST(Umbrella, ExposesEverySubsystem) {
   const auto machine = mbd::costmodel::MachineModel::cori_knl();
   EXPECT_GT(machine.word_time(), 0.0);
 
-  const auto pred = mbd::parallel::predict_batch_parallel(specs, 4);
+  const auto pred = mbd::costmodel::trainer_total_volume(
+      mbd::costmodel::TrainerKind::BatchParallel, specs, /*batch=*/8, 1, 4);
   EXPECT_GT(pred.allreduce_bytes, 0u);
 }
 

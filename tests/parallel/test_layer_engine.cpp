@@ -2,11 +2,11 @@
 // both reduce modes, over uneven partitions (P ∤ d_out, Pc ∤ B, uneven
 // height slabs). For each trainer the two modes must produce bitwise-equal
 // loss trajectories and parameters (the nonblocking ring is the blocking
-// ring, resumable), identical per-iteration traffic in every class, and —
-// where validation.hpp has a closed form — exactly the predicted byte
-// counts. Finally, a traced 1.5D run is replayed under the α–β machine
-// model to show that Overlapped mode actually hides reduction traffic
-// behind annotated GEMM compute (smaller makespan, less recv wait).
+// ring, resumable), identical per-iteration traffic in every class, and
+// exactly the byte counts of costmodel::trainer_total_volume. Finally, a
+// recorded 1.5D run is replayed under the α–β machine model to show that
+// Overlapped mode actually hides reduction traffic behind annotated GEMM
+// compute (smaller makespan, less recv wait).
 #include "mbd/parallel/layer_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "mbd/costmodel/machine.hpp"
 #include "mbd/costmodel/replay.hpp"
+#include "mbd/costmodel/volumes.hpp"
 #include "mbd/nn/models.hpp"
 #include "mbd/parallel/batch_parallel.hpp"
 #include "mbd/parallel/domain_parallel.hpp"
@@ -25,12 +26,13 @@
 #include "mbd/parallel/mixed_grid.hpp"
 #include "mbd/parallel/model_parallel.hpp"
 #include "mbd/parallel/pipeline.hpp"
-#include "mbd/parallel/validation.hpp"
 #include "parallel_test_util.hpp"
 
 namespace mbd::parallel {
 namespace {
 
+using costmodel::TrainerKind;
+using costmodel::trainer_total_volume;
 using testing::expect_losses_close;
 using testing::expect_params_close;
 using testing::run_reference;
@@ -89,7 +91,8 @@ void expect_modes_equivalent(const ModeRun& blocking, const ModeRun& overlapped)
   }
 }
 
-void expect_predicted(const ModeRun& m, const TrafficPrediction& predicted,
+void expect_predicted(const ModeRun& m,
+                      const costmodel::RankVolume& predicted,
                       const char* label) {
   EXPECT_EQ(per_iteration(m, comm::Coll::AllReduce).bytes,
             predicted.allreduce_bytes)
@@ -123,10 +126,10 @@ TEST(LayerEngine, ModelParallelBothModesUnevenRows) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  expect_predicted(blocking, predict_model_parallel(specs, cfg.batch, p),
-                   "blocking");
-  expect_predicted(overlapped, predict_model_parallel(specs, cfg.batch, p),
-                   "overlapped");
+  const auto predicted =
+      trainer_total_volume(TrainerKind::ModelParallel, specs, cfg.batch, p, 1);
+  expect_predicted(blocking, predicted, "blocking");
+  expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
   expect_losses_close(blocking.res.losses, ref.losses);
   expect_params_close(blocking.res.params, ref.params);
@@ -145,8 +148,10 @@ TEST(LayerEngine, BatchParallelBothModesUnevenColumns) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  expect_predicted(blocking, predict_batch_parallel(specs, p), "blocking");
-  expect_predicted(overlapped, predict_batch_parallel(specs, p), "overlapped");
+  const auto predicted =
+      trainer_total_volume(TrainerKind::BatchParallel, specs, cfg.batch, 1, p);
+  expect_predicted(blocking, predicted, "blocking");
+  expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
   expect_losses_close(blocking.res.losses, ref.losses);
   expect_params_close(blocking.res.params, ref.params);
@@ -167,7 +172,8 @@ TEST(LayerEngine, Integrated15DBothModesUnevenGrids) {
     const ModeRun blocking = run_mode(pr * pc, ReduceMode::Blocking, fn);
     const ModeRun overlapped = run_mode(pr * pc, ReduceMode::Overlapped, fn);
     expect_modes_equivalent(blocking, overlapped);
-    const auto predicted = predict_integrated_15d(specs, cfg.batch, grid);
+    const auto predicted = trainer_total_volume(TrainerKind::Integrated15D,
+                                                specs, cfg.batch, pr, pc);
     expect_predicted(blocking, predicted, "blocking");
     expect_predicted(overlapped, predicted, "overlapped");
     expect_losses_close(blocking.res.losses, ref.losses);
@@ -198,10 +204,10 @@ TEST(LayerEngine, DomainParallelBothModesUnevenSlabs) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  expect_predicted(blocking, predict_domain_parallel(specs, cfg.batch, p),
-                   "blocking");
-  expect_predicted(overlapped, predict_domain_parallel(specs, cfg.batch, p),
-                   "overlapped");
+  const auto predicted =
+      trainer_total_volume(TrainerKind::DomainParallel, specs, cfg.batch, p, 1);
+  expect_predicted(blocking, predicted, "blocking");
+  expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
   expect_losses_close(blocking.res.losses, ref.losses);
   expect_params_close(blocking.res.params, ref.params);
@@ -221,7 +227,8 @@ TEST(LayerEngine, HybridBothModesUnevenBatch) {
   const ModeRun blocking = run_mode(4, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(4, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  const auto predicted = predict_hybrid(specs, cfg.batch, grid);
+  const auto predicted = trainer_total_volume(TrainerKind::Hybrid, specs,
+                                              cfg.batch, grid.pr, grid.pc);
   expect_predicted(blocking, predicted, "blocking");
   expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
@@ -242,7 +249,8 @@ TEST(LayerEngine, MixedGridBothModesUnevenBatch) {
   const ModeRun blocking = run_mode(4, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(4, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  const auto predicted = predict_mixed_grid(specs, cfg.batch, grid);
+  const auto predicted = trainer_total_volume(TrainerKind::MixedGrid, specs,
+                                              cfg.batch, grid.pr, grid.pc);
   expect_predicted(blocking, predicted, "blocking");
   expect_predicted(overlapped, predicted, "overlapped");
   const auto ref = run_reference(specs, data, cfg);
@@ -266,7 +274,8 @@ TEST(LayerEngine, PipelineBothModesUnevenStagesAndMicrobatches) {
   const ModeRun blocking = run_mode(p, ReduceMode::Blocking, fn);
   const ModeRun overlapped = run_mode(p, ReduceMode::Overlapped, fn);
   expect_modes_equivalent(blocking, overlapped);
-  const auto predicted = predict_pipeline(specs, cfg.batch, p);
+  const auto predicted =
+      trainer_total_volume(TrainerKind::Pipeline, specs, cfg.batch, p, 1);
   EXPECT_EQ(predicted.allreduce_bytes, 0u);
   EXPECT_EQ(predicted.allgather_bytes, 0u);
   expect_predicted(blocking, predicted, "blocking");
@@ -294,7 +303,8 @@ TEST(LayerEngine, PipelineTrafficIndependentOfMicrobatchCount) {
   };
   const ModeRun m1 = run_m(1);
   const ModeRun m5 = run_m(5);
-  const auto predicted = predict_pipeline(specs, cfg.batch, p);
+  const auto predicted =
+      trainer_total_volume(TrainerKind::Pipeline, specs, cfg.batch, p, 1);
   expect_predicted(m1, predicted, "one microbatch");
   expect_predicted(m5, predicted, "five microbatches");
   EXPECT_EQ(per_iteration(m5, comm::Coll::PointToPoint).messages,
@@ -304,8 +314,9 @@ TEST(LayerEngine, PipelineTrafficIndependentOfMicrobatchCount) {
   expect_params_close(m1.res.params, m5.res.params);
 }
 
-/// Records a traced 1.5D run with modeled GEMM times in the given mode.
-comm::Trace trace_integrated(ReduceMode mode, double seconds_per_flop) {
+/// Records a 1.5D run's schedule with modeled GEMM times in the given mode.
+comm::ScheduleRecording trace_integrated(ReduceMode mode,
+                                         double seconds_per_flop) {
   const auto specs = nn::mlp_spec({8, 30, 6});
   const auto data = nn::make_synthetic_dataset(8, 6, 32, 11);
   nn::TrainConfig cfg;
@@ -314,12 +325,12 @@ comm::Trace trace_integrated(ReduceMode mode, double seconds_per_flop) {
   const GridShape grid{2, 2};
   comm::World world(4);
   world.enable_validation();
-  world.enable_tracing();
+  world.enable_schedule_recording();
   world.run([&](comm::Comm& c) {
     (void)train_integrated_15d(c, grid, specs, data, cfg, 42, mode,
                                seconds_per_flop);
   });
-  return world.trace();
+  return world.schedule_recording();
 }
 
 TEST(LayerEngine, OverlappedModeHidesReductionsInReplay) {
@@ -329,8 +340,9 @@ TEST(LayerEngine, OverlappedModeHidesReductionsInReplay) {
   // reduce before the ∆W GEMM (≈100 µs of modeled compute, far more than
   // the ~0.1 µs transfers) and completes it behind that compute.
   const double spf = 1e-7;
-  const comm::Trace blocking = trace_integrated(ReduceMode::Blocking, spf);
-  const comm::Trace overlapped =
+  const comm::ScheduleRecording blocking =
+      trace_integrated(ReduceMode::Blocking, spf);
+  const comm::ScheduleRecording overlapped =
       trace_integrated(ReduceMode::Overlapped, spf);
 
   // Same work in both schedules: identical annotated compute and bytes.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "mbd/support/check.hpp"
 
 namespace mbd::tensor {
@@ -80,6 +83,32 @@ TEST(Tensor4, ColumnsToNchwAndBack) {
   Matrix back(d, batch);
   nchw_to_columns(t, back);
   EXPECT_FLOAT_EQ(max_abs_diff(m, back), 0.0f);
+}
+
+TEST(Tensor4, ColumnsToNchwRowRangeEqualsHeightSlab) {
+  // Transposing only rows [lo, hi) must give exactly the height slab of the
+  // full transpose, for every slab of an uneven 3-way partition of h = 13
+  // (plane 13·11 = 143 crosses the row blocks unevenly) and a full-height
+  // range.
+  const std::size_t c = 4, h = 13, w = 11, batch = 5, d = c * h * w;
+  Matrix m(d, batch);
+  for (std::size_t i = 0; i < d; ++i)
+    for (std::size_t b = 0; b < batch; ++b)
+      m(i, b) = static_cast<float>(i * 10 + b) * 0.5f - 3.0f;
+  Tensor4 full(batch, c, h, w);
+  columns_to_nchw(m, full);
+  for (const auto [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 5},
+                              {5, 9}, {9, 13}, {0, 13}, {12, 13}}) {
+    SCOPED_TRACE("rows " + std::to_string(lo) + ".." + std::to_string(hi));
+    Tensor4 slab(batch, c, hi - lo, w);
+    columns_to_nchw(m, slab, lo);
+    const Tensor4 expect = full.height_slab(lo, hi);
+    ASSERT_EQ(slab.size(), expect.size());
+    for (std::size_t i = 0; i < slab.size(); ++i)
+      ASSERT_EQ(slab.data()[i], expect.data()[i]) << "element " << i;
+  }
+  Tensor4 past(batch, c, 3, w);
+  EXPECT_THROW(columns_to_nchw(m, past, 11), Error);  // rows 11..14 > h
 }
 
 TEST(Tensor4, EnsureShapeKeepsOrReallocates) {
